@@ -1,9 +1,10 @@
 """Command-line front end: replay and pointwise analysis with stable exit codes.
 
 Exit codes: 0 success / positive verdict; 1 negative verdict; 2 usage or
-schema error; 3 internal checkpoint failure.  Reports go to stdout (JSON by
-default), diagnostics to stderr.  The default random seed can be overridden
-with the DELTAHYP_SEED environment variable; an explicit --seed flag wins.
+schema error; 3 internal checkpoint failure, whose partial report goes to
+--out when given.  Reports go to stdout (JSON by default), diagnostics to
+stderr.  The default random seed can be overridden with the DELTAHYP_SEED
+environment variable; an explicit --seed flag wins.
 """
 
 from __future__ import annotations
@@ -232,6 +233,21 @@ def _emit(args, report: dict, text_lines: list[str]) -> None:
         dump_path(args.out, report)
 
 
+def _keep_partial_report(args, report) -> None:
+    """Summarize a halted replay on stderr and write its report to --out."""
+    passed = report.checkpoints
+    last = passed[-1].id if passed else "none"
+    print(
+        f"partial report: {len(passed)} checkpoint(s) passed, last {last}",
+        file=sys.stderr,
+    )
+    if args.out:
+        try:
+            dump_path(args.out, report.to_json_dict())
+        except OSError as exc:
+            print(f"error: cannot write the partial report: {exc}", file=sys.stderr)
+
+
 def _spectrum_block(operator: ShapeOperator) -> dict:
     report = curvature_report(operator)
     return report.to_json_dict()
@@ -415,6 +431,8 @@ def main(argv=None) -> int:
         return _COMMANDS[args.subcommand](args)
     except CheckpointFailure as exc:
         print(f"checkpoint failure: {exc}", file=sys.stderr)
+        if exc.report is not None:
+            _keep_partial_report(args, exc.report)
         return EXIT_CHECKPOINT
     except _USAGE_ERRORS as exc:
         if isinstance(exc, SchemaError) and exc.positions:

@@ -399,11 +399,6 @@ class Polynomial:
             c = -c
         return self.scale(Fraction(1) / c)
 
-    def monic_in_lead(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        return self.scale(Fraction(1) / self.leading_coefficient())
-
     # -- rendering ------------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
@@ -677,31 +672,3 @@ class RationalFunction:
     def __repr__(self):
         return f"<RationalFunction {self.render()}>"
 
-
-# -- spec-facing functional wrappers --------------------------------------------
-
-
-def poly_arith(lhs: Polynomial, rhs: Polynomial, kind: str) -> Polynomial:
-    """add/sub/mul with explicit ring checking (typed errors, no coercion)."""
-    if not isinstance(lhs, Polynomial) or not isinstance(rhs, Polynomial):
-        raise TypeError("poly_arith expects Polynomial operands")
-    if lhs.ring != rhs.ring:
-        raise RingMismatchError(f"ring mismatch: {lhs.ring.vars} vs {rhs.ring.vars}")
-    if kind == "add":
-        return lhs + rhs
-    if kind == "sub":
-        return lhs - rhs
-    if kind == "mul":
-        return lhs * rhs
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
-def poly_diff(p: Polynomial, var: str) -> Polynomial:
-    return p.diff(var)
-
-
-def evaluate(p: Polynomial, assignment: Mapping[str, Fraction]) -> Fraction:
-    missing = [v for v in p.variables_used() if v not in assignment]
-    if missing:
-        raise UnknownVariableError(f"assignment missing variables {missing}")
-    return p.evaluate(assignment)

@@ -1,21 +1,34 @@
 """Exact replay of the curvature-flow elimination.
 
 The pipeline drives a small ODE-like system of frame quantities through a
-fixed sequence of algebraic stages:
+fixed table of algebraic stages (``_STAGES``).  Each row names a stage, the
+stages it depends on, and the method that runs it:
 
-1. spectrum certificates (accepted/rejected eigenvalue patterns),
-2. connection-quotient identities and the quadratic product relation,
-3. eliminant certificates for the two auxiliary directions,
-4. three master equations linear in the second flow derivative,
-5. first integrals solving for the individual flow terms,
-6. a tangency curve of total degree 9 and its degree-12 prolongation,
-7. a final resultant eliminating the off-trace eigenvalue.
+    stage            depends on                       derives
+    lemma31          -                                spectrum certificates
+    omega            -                                connection-quotient identities
+                                                      and the quadratic product relation
+    lemma32          -                                eliminant certificates for the
+                                                      two auxiliary directions
+    masters          omega                            three master equations linear
+                                                      in the second flow derivative
+    first_integrals  masters                          first integrals solving for the
+                                                      individual flow terms
+    tangency         first_integrals                  tangency curve of total degree 9
+    prolonged        tangency                         its degree-12 prolongation
+    eliminate        lemma31, omega, lemma32,         final resultant eliminating the
+                     prolonged                        off-trace eigenvalue
+
+``_Pipeline.run(stage)`` runs a stage's dependencies first, each once and in
+table order, and memoizes every result; running ``eliminate`` is therefore
+the full replay.  A stage's result carries only the checkpoints it emitted.
 
 Every stage emits checkpoints comparing the derived polynomial against a
 closed-form reference table (`reference_forms`).  Coefficient disagreements
 with the reference are recorded as ``flagged-mismatch`` and do not halt the
 run; structural violations (wrong support, wrong degree, failed internal
-identity) raise :class:`~deltahyp.errors.CheckpointFailure`.
+identity) raise :class:`~deltahyp.errors.CheckpointFailure`, which carries the
+partial report built up to that point.
 
 Two sign branches of the quadratic product relation are carried throughout:
 the replayed branch (primary, matching the reference chain downstream) and
@@ -29,7 +42,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NoReturn, Optional
 
 from . import reference_forms as ref
 from .derivation import Derivation, DerivationAlgebra, ReplayConfig, build_algebra
@@ -208,6 +221,15 @@ class EliminationReport:
 # pipeline
 # ---------------------------------------------------------------------------
 
+# ring of the curves and the final resultant as they appear in reports
+_CURVE_RING = PolynomialRing(("H", "beta", "a"))
+
+_CARRIED_FORWARD = (
+    "reference coefficient table for this tag is not reproducible "
+    "from the master equations (see notes); derived relation is "
+    "carried forward."
+)
+
 
 @dataclass
 class _BranchState:
@@ -231,7 +253,7 @@ class _BranchState:
 
 
 class _Pipeline:
-    """Stateful driver running the stages in order and collecting the report."""
+    """Runs the stage table for one configuration and collects the report."""
 
     def __init__(self, cfg: ReplayConfig):
         self.cfg = cfg
@@ -250,7 +272,8 @@ class _Pipeline:
         self._allowed_conditions = [
             p.primitive() for p in ref.allowed_side_conditions(self.alg)
         ]
-        self._done: set[str] = set()
+        self._results: dict[str, object] = {}
+        self._stage_start = 0
         # frequently used generators
         r = self.ring
         self.H = r.var("H")
@@ -272,15 +295,60 @@ class _Pipeline:
         else:
             self.a_poly = r.var("a")
 
+    # -- driver -----------------------------------------------------------------
+
+    def run(self, stage: str):
+        """Run ``stage`` after its dependencies; every stage runs at most once."""
+        if stage not in self._results:
+            dependencies, method = _STAGES[stage]
+            for dependency in dependencies:
+                self.run(dependency)
+            self._stage_start = len(self.checkpoints)
+            self._results[stage] = method(self)
+        return self._results[stage]
+
+    def _stage_checkpoints(self) -> list[Checkpoint]:
+        """The checkpoints emitted by the stage that is running."""
+        return self.checkpoints[self._stage_start:]
+
     # -- bookkeeping ----------------------------------------------------------
+
+    def _report(self, verdict: str, branches: dict[str, BranchSummary]) -> EliminationReport:
+        """The report as it stands: final after ``eliminate``, partial on failure."""
+        rep = self.branches[BRANCH_REPLAYED]
+        curve9, curve12 = (
+            None if c is None else c.restrict_ring(_CURVE_RING)
+            for c in (rep.curve9, rep.curve12)
+        )
+        return EliminationReport(
+            version="1",
+            config=self.cfg,
+            checkpoints=list(self.checkpoints),
+            side_conditions=list(self.side_conditions),
+            curve9=curve9,
+            curve12=curve12,
+            final_resultant=rep.final_resultant,
+            verdict=verdict,
+            branches=branches,
+            notes=list(self.notes),
+        )
+
+    def _fail(self, message: str) -> NoReturn:
+        """Halt the replay, attaching the partial report built so far."""
+        raise CheckpointFailure(message, report=self._report(VERDICT_INCONCLUSIVE, {}))
+
+    def _exact_div(self, num: Polynomial, den: Polynomial, what: str) -> Polynomial:
+        try:
+            return num.exact_div(den)
+        except ExactDivisionError as exc:
+            self._fail(f"{what}: {exc}")
 
     def _add_side_condition(self, expr: Polynomial, origin: str) -> None:
         prim = expr.primitive()
         if not any(prim == allowed for allowed in self._allowed_conditions):
-            raise CheckpointFailure(
+            self._fail(
                 f"side condition {prim.render()!r} (origin {origin}) is outside "
-                "the fixed vocabulary of clearable denominators",
-                report=self._partial_report(),
+                "the fixed vocabulary of clearable denominators"
             )
         for sc in self.side_conditions:
             if sc.origin == origin and sc.expr == prim:
@@ -293,7 +361,7 @@ class _Pipeline:
         derived: Polynomial,
         expected: Polynomial,
         note: str = "",
-    ) -> Checkpoint:
+    ) -> None:
         """Compare up to a nonzero rational factor via lead-positive primitives."""
         dp = derived.primitive()
         ep = expected.primitive()
@@ -305,7 +373,6 @@ class _Pipeline:
                 mismatch_note = note + " " + mismatch_note
             cp = Checkpoint(tag, FLAGGED, derived.render(), expected.render(), mismatch_note)
         self.checkpoints.append(cp)
-        return cp
 
     @staticmethod
     def _describe_mismatch(dp: Polynomial, ep: Polynomial) -> str:
@@ -319,25 +386,8 @@ class _Pipeline:
 
     def _structural_checkpoint(self, tag: str, ok: bool, derived: str, why: str) -> None:
         if not ok:
-            raise CheckpointFailure(
-                f"checkpoint {tag}: structural requirement failed: {why}",
-                report=self._partial_report(),
-            )
+            self._fail(f"checkpoint {tag}: structural requirement failed: {why}")
         self.checkpoints.append(Checkpoint(tag, STRUCTURAL, derived, None, why))
-
-    def _partial_report(self) -> "EliminationReport":
-        return EliminationReport(
-            version="1",
-            config=self.cfg,
-            checkpoints=list(self.checkpoints),
-            side_conditions=list(self.side_conditions),
-            curve9=self.branches[BRANCH_REPLAYED].curve9,
-            curve12=self.branches[BRANCH_REPLAYED].curve12,
-            final_resultant=self.branches[BRANCH_REPLAYED].final_resultant,
-            verdict=VERDICT_INCONCLUSIVE,
-            branches={},
-            notes=list(self.notes),
-        )
 
     # -- small rewriting helpers ----------------------------------------------
 
@@ -363,35 +413,17 @@ class _Pipeline:
             current = out
             if not hit:
                 return current
-        raise CheckpointFailure(
-            f"product rewrite {var_a}*{var_b} did not terminate",
-            report=self._partial_report(),
-        )
-
-    def _coeff_of_product(self, poly: Polynomial, var_a: str, var_b: str) -> Fraction:
-        """Coefficient of the plain quadratic monomial var_a*var_b."""
-        ia, ib = self.ring.index(var_a), self.ring.index(var_b)
-        target = [0] * len(self.ring.vars)
-        target[ia] += 1
-        target[ib] += 1
-        return poly.terms.get(tuple(target), Fraction(0))
+        self._fail(f"product rewrite {var_a}*{var_b} did not terminate")
 
     def _form_part(self, poly: Polynomial) -> Polynomial:
         """Assert the remainder uses only H, beta, a and return it."""
-        allowed = {"H", "beta", "a"}
-        if not set(poly.variables_used()) <= allowed:
-            raise CheckpointFailure(
-                "expected a pure (H, beta, a) form, got "
-                f"{poly.render()}",
-                report=self._partial_report(),
-            )
+        if not set(poly.variables_used()) <= set(_CURVE_RING.vars):
+            self._fail(f"expected a pure (H, beta, a) form, got {poly.render()}")
         return poly
 
     # -- stage: spectrum certificates ------------------------------------------
 
     def lemma31(self) -> ContradictionCertificate:
-        if "lemma31" in self._done:
-            return self._lemma31
         n = self.n
         ring = PolynomialRing(("H", "alpha", "beta", "gamma"))
         H = ring.var("H")
@@ -457,24 +489,16 @@ class _Pipeline:
             "first_three_sum": ident_sum3.is_zero(),
         }
         if not all(cert.identities.values()):
-            raise CheckpointFailure(
-                "accepted spectrum failed its trace identities",
-                report=self._partial_report(),
-            )
+            self._fail("accepted spectrum failed its trace identities")
         self.checkpoints.append(
             Checkpoint("L3.1", EXACT, cert.consequence, None, note)
         )
-        self._lemma31 = cert
-        self._done.add("lemma31")
         return cert
 
     # -- stage: connection-quotient identities ----------------------------------
 
-    def omega_identities(self) -> OmegaIdentityProof:
-        if "omega" in self._done:
-            return self._omega
+    def omega(self) -> OmegaIdentityProof:
         n, c1, c2 = self.n, self.c1, self.c2
-        r = self.ring
         H, beta, h = self.H, self.beta, self.h
         u, v, w = self.u, self.v, self.w
         B1 = beta + c1 * H
@@ -498,10 +522,7 @@ class _Pipeline:
         }
         for label, value in residues.items():
             if not value.is_zero():
-                raise CheckpointFailure(
-                    f"quotient residue {label} did not vanish: {value.render()}",
-                    report=self._partial_report(),
-                )
+                self._fail(f"quotient residue {label} did not vanish: {value.render()}")
         self.checkpoints.append(
             Checkpoint(
                 "3.41-cyclic",
@@ -539,10 +560,9 @@ class _Pipeline:
         for tag, source in (("3.42", "3.34"), ("3.43", "3.35"), ("3.44", "3.36")):
             delta = derived[tag] - given[source]
             if not delta.is_zero():
-                raise CheckpointFailure(
+                self._fail(
                     f"derived relation {tag} does not follow from {source}: "
-                    f"residual {delta.render()}",
-                    report=self._partial_report(),
+                    f"residual {delta.render()}"
                 )
             relations[tag] = derived[tag].render()
             self.checkpoints.append(
@@ -564,17 +584,14 @@ class _Pipeline:
             + derived["3.44"]
         )
         if not aggregate.is_polynomial():
-            raise CheckpointFailure(
-                "aggregated quadratic relation kept a denominator: "
-                f"{aggregate.render()}",
-                report=self._partial_report(),
+            self._fail(
+                f"aggregated quadratic relation kept a denominator: {aggregate.render()}"
             )
         product_rel = aggregate.as_polynomial()
-        expected = ref.product_relation(self.alg)
         self._checkpoint_compare(
             "3.45",
             product_rel,
-            expected,
+            ref.product_relation(self.alg),
             note=(
                 "diagonal first-slot coefficients read as the antisymmetric "
                 "partners (-w414, -w313); with that reading the aggregate of the "
@@ -583,22 +600,16 @@ class _Pipeline:
             ),
         )
         relations["3.45"] = product_rel.render()
-        self._omega = OmegaIdentityProof(
+        return OmegaIdentityProof(
             residues={k: val.render() for k, val in residues.items()},
             relations=relations,
-            checkpoints=list(self.checkpoints),
+            checkpoints=self._stage_checkpoints(),
         )
-        self._done.add("omega")
-        # store the polynomial for branch bookkeeping
-        self._product_rel = product_rel
-        return self._omega
 
     # -- stage: auxiliary-direction eliminants ----------------------------------
 
     def lemma32(self) -> Lemma32Certificates:
-        if "lemma32" in self._done:
-            return self._lemma32
-        n, c1, c2 = self.n, self.c1, self.c2
+        c1, c2 = self.c1, self.c2
         # Pair branch: two relations linear in the shared quotient X.
         ring = PolynomialRing(("H", "beta", "X"))
         H, beta, X = ring.var("H"), ring.var("beta"), ring.var("X")
@@ -610,29 +621,20 @@ class _Pipeline:
         self._add_side_condition(self.p, "3.20")
         self._add_side_condition(self.q, "3.20")
         self._add_side_condition(self.q, "3.21")
-        elim_raw = resultant(rel_a, rel_b, "X")
-        q_in_hb = q_local
-        try:
-            elim = elim_raw.exact_div(q_in_hb)
-        except ExactDivisionError as exc:
-            raise CheckpointFailure(
-                f"pair-branch eliminant not divisible by its cleared factor: {exc}",
-                report=self._partial_report(),
-            )
+        elim = self._exact_div(
+            resultant(rel_a, rel_b, "X"),
+            q_local,
+            "pair-branch eliminant not divisible by its cleared factor",
+        )
         self._add_side_condition(self.q, "3.22")
         pattern = H * (2 * beta - c2 * H) ** 2
-        try:
-            unit_poly = elim.exact_div(pattern)
-        except ExactDivisionError as exc:
-            raise CheckpointFailure(
-                f"pair-branch eliminant does not match the reference pattern: {exc}",
-                report=self._partial_report(),
-            )
+        unit_poly = self._exact_div(
+            elim, pattern, "pair-branch eliminant does not match the reference pattern"
+        )
         if unit_poly.total_degree() != 0 or unit_poly.is_zero():
-            raise CheckpointFailure(
+            self._fail(
                 "pair-branch eliminant / pattern is not a nonzero constant: "
-                f"{unit_poly.render()}",
-                report=self._partial_report(),
+                f"{unit_poly.render()}"
             )
         unit_pair = unit_poly.leading_coefficient()
         self._add_side_condition(self.c2 * self.H - 2 * self.beta, "3.18")
@@ -688,25 +690,23 @@ class _Pipeline:
         tail = Derivation(r, tail_rules)
         derived_tail = tail.of_rational(lhs)
         if not derived_tail.is_polynomial():
-            raise CheckpointFailure(
-                "tail-branch derivative kept a denominator: "
-                f"{derived_tail.render()}",
-                report=self._partial_report(),
+            self._fail(
+                f"tail-branch derivative kept a denominator: {derived_tail.render()}"
             )
         tail_poly = derived_tail.as_polynomial()
-        coeff = self._extract_ekb_coefficient(tail_poly)
-        try:
-            unit_tail_poly = coeff.exact_div(self.H)
-        except ExactDivisionError as exc:
-            raise CheckpointFailure(
-                f"tail-branch coefficient not a multiple of H: {exc}",
-                report=self._partial_report(),
+        coeff = tail_poly.coefficient_of("ekb", 1)
+        if coeff * ekb != tail_poly:
+            self._fail(
+                "tail-branch derivative is not homogeneous of degree one in "
+                "the differentiated slot"
             )
+        unit_tail_poly = self._exact_div(
+            coeff, self.H, "tail-branch coefficient not a multiple of H"
+        )
         if unit_tail_poly.total_degree() != 0 or unit_tail_poly.is_zero():
-            raise CheckpointFailure(
+            self._fail(
                 "tail-branch coefficient / H is not a nonzero constant: "
-                f"{unit_tail_poly.render()}",
-                report=self._partial_report(),
+                f"{unit_tail_poly.render()}"
             )
         unit_tail = unit_tail_poly.leading_coefficient()
         self._add_side_condition(A_den, "3.22")
@@ -731,32 +731,11 @@ class _Pipeline:
                 f"stationary bracket: coefficient equals H times the unit {unit_tail}",
             )
         )
-        self._lemma32 = Lemma32Certificates(pair_cert, tail_cert, list(self.checkpoints))
-        self._done.add("lemma32")
-        return self._lemma32
-
-    def _extract_ekb_coefficient(self, poly: Polynomial) -> Polynomial:
-        """Write poly = coeff * ekb and return coeff (poly must be linear in ekb)."""
-        i = self.ring.index("ekb")
-        out = self.ring.zero()
-        for exp, coeff in poly.terms.items():
-            if exp[i] != 1:
-                raise CheckpointFailure(
-                    "tail-branch derivative is not homogeneous of degree one in "
-                    "the differentiated slot",
-                    report=self._partial_report(),
-                )
-            lowered = list(exp)
-            lowered[i] = 0
-            out = out + Polynomial(self.ring, {tuple(lowered): coeff})
-        return out
+        return Lemma32Certificates(pair_cert, tail_cert, self._stage_checkpoints())
 
     # -- stage: master equations -------------------------------------------------
 
     def masters(self) -> MasterEquations:
-        if "masters" in self._done:
-            return self._masters
-        self.omega_identities()
         n, c1, c2 = self.n, self.c1, self.c2
         H, beta, E, EE = self.H, self.beta, self.E, self.EE
         u, v, w = self.u, self.v, self.w
@@ -766,14 +745,13 @@ class _Pipeline:
         rel49 = p * u + q * v - c2 * E
         rel50 = c2 * (H * w) + (c1 + c2) * E
 
-        for label, state in self.branches.items():
-            sgn = state.sign
+        for state in self.branches.values():
             # combined second-order relation with the cross term eliminated
             R = Ds.of_poly_strict(p * u) + Ds.of_poly_strict(q * v) - c2 * EE
             R = R - v * rel49
             R = R + 2 * ((u + v) * rel49)
             # replace the quotient product by this branch's resolved form
-            uv_value = Fraction(sgn) * ((n - 3) * (w * (u + v)) + K)
+            uv_value = Fraction(state.sign) * ((n - 3) * (w * (u + v)) + K)
             R = self._rewrite_product(R, "w212", "w313", uv_value)
             # clear the lone quotient against the mean-curvature flow relation
             hw_value = (-(c1 + c2) / c2) * E
@@ -784,10 +762,7 @@ class _Pipeline:
                 self._exp_of({"EE": 1}), Fraction(0)
             )
             if coeff_ee == 0:
-                raise CheckpointFailure(
-                    "first master equation lost its second-order term",
-                    report=self._partial_report(),
-                )
+                self._fail("first master equation lost its second-order term")
             state.master_first = master_first_unreduced.scale(1 / coeff_ee)
 
         # second master equation: flow derivative of the mean-curvature relation
@@ -810,37 +785,25 @@ class _Pipeline:
             state.master_third = master_third
 
         replayed = self.branches[BRANCH_REPLAYED]
-        cps = []
-        cps.append(
-            self._checkpoint_compare(
-                "3.51",
-                replayed.master_first_unreduced,
-                ref.master_A_unreduced(self.alg),
-            )
+        self._checkpoint_compare(
+            "3.51", replayed.master_first_unreduced, ref.master_A_unreduced(self.alg)
         )
-        cps.append(
-            self._checkpoint_compare(
-                "3.52", master_second_unreduced, ref.master_B_unreduced(self.alg)
-            )
+        self._checkpoint_compare(
+            "3.52", master_second_unreduced, ref.master_B_unreduced(self.alg)
         )
-        cps.append(
-            self._checkpoint_compare(
-                "3.54",
-                replayed.master_first,
-                ref.master_A(self.alg),
-                note=(
-                    "replayed branch of the quotient-product relation; the "
-                    "first-principles branch yields a sign-variant recorded "
-                    "under branches."
-                ),
-            )
+        self._checkpoint_compare(
+            "3.54",
+            replayed.master_first,
+            ref.master_A(self.alg),
+            note=(
+                "replayed branch of the quotient-product relation; the "
+                "first-principles branch yields a sign-variant recorded "
+                "under branches."
+            ),
         )
-        cps.append(self._checkpoint_compare("3.55", master_second, ref.master_B(self.alg)))
-        cps.append(
-            self._checkpoint_compare(
-                "3.56", master_third, ref.master_C(self.alg, self.a_poly)
-            )
-        )
+        self._checkpoint_compare("3.55", master_second, ref.master_B(self.alg))
+        self._checkpoint_compare("3.56", master_third, ref.master_C(self.alg, self.a_poly))
+        cps = self._stage_checkpoints()
         mismatch_54 = any(c.id == "3.54" and c.status == FLAGGED for c in cps)
         fp_first = self.branches[BRANCH_FIRST_PRINCIPLES].master_first
         self.notes.append(
@@ -849,7 +812,7 @@ class _Pipeline:
             + " the reference table; first-principles sign branch stored alongside: "
             + fp_first.render()
         )
-        self._masters = MasterEquations(
+        return MasterEquations(
             unreduced_first=replayed.master_first_unreduced,
             unreduced_second=master_second_unreduced,
             first=replayed.master_first,
@@ -857,8 +820,6 @@ class _Pipeline:
             third=master_third,
             checkpoints=cps,
         )
-        self._done.add("masters")
-        return self._masters
 
     def _exp_of(self, powers: dict[str, int]) -> tuple:
         exp = [0] * len(self.ring.vars)
@@ -869,11 +830,8 @@ class _Pipeline:
     # -- stage: first integrals ----------------------------------------------------
 
     def first_integrals(self) -> FirstIntegrals:
-        if "integrals" in self._done:
-            return self._integrals
-        self.masters()
         n, c1, c2 = self.n, self.c1, self.c2
-        H, beta, E = self.H, self.beta, self.E
+        H, E = self.H, self.E
         u, v, w = self.u, self.v, self.w
 
         for state in self.branches.values():
@@ -883,22 +841,15 @@ class _Pipeline:
             a21, b21, f2 = self._split_linear(i2)
             det = a11 * b21 - b11 * a21
             if det == 0:
-                raise CheckpointFailure(
-                    "linear solve for the flow terms is singular",
-                    report=self._partial_report(),
-                )
+                self._fail("linear solve for the flow terms is singular")
             state.X = ((-f1) * b21 - (-f2) * b11).scale(1 / det)
             state.Y = (a11 * (-f2) - a21 * (-f1)).scale(1 / det)
             # value of E^2 from the lone-quotient integral
             state.S = (H * state.Y).scale(-c2 / (c1 + c2))
             # value of the quotient product, branch-resolved
-            try:
-                x_over_h = state.X.exact_div(H)
-            except ExactDivisionError as exc:
-                raise CheckpointFailure(
-                    f"sum-quotient integral is not a multiple of H: {exc}",
-                    report=self._partial_report(),
-                )
+            x_over_h = self._exact_div(
+                state.X, H, "sum-quotient integral is not a multiple of H"
+            )
             w_sum_value = x_over_h.scale(-(c1 + c2) / c2)
             state.Q = (Fraction(n - 3) * w_sum_value + self.K).scale(
                 Fraction(state.sign)
@@ -906,55 +857,20 @@ class _Pipeline:
         self._add_side_condition(self.c2 * self.H, "3.59")
 
         rep = self.branches[BRANCH_REPLAYED]
-        cps = []
-        cps.append(
+        lone = w * E - rep.Y
+        pair_sum = (u + v) * E - rep.X
+        product = u * v - rep.Q
+        square = E * E - rep.S
+        for tag, derived, table in (
+            ("3.57", lone, ref.integral_lone_quotient),
+            ("3.58", pair_sum, ref.integral_sum_quotient),
+            ("3.59", product, ref.integral_product),
+            ("3.60", square, ref.integral_square),
+        ):
             self._checkpoint_compare(
-                "3.57",
-                w * E - rep.Y,
-                ref.integral_lone_quotient(self.alg, self.a_poly),
-                note=(
-                    "reference coefficient table for this tag is not reproducible "
-                    "from the master equations (see notes); derived relation is "
-                    "carried forward."
-                ),
+                tag, derived, table(self.alg, self.a_poly), note=_CARRIED_FORWARD
             )
-        )
-        cps.append(
-            self._checkpoint_compare(
-                "3.58",
-                (u + v) * E - rep.X,
-                ref.integral_sum_quotient(self.alg, self.a_poly),
-                note=(
-                    "reference coefficient table for this tag is not reproducible "
-                    "from the master equations (see notes); derived relation is "
-                    "carried forward."
-                ),
-            )
-        )
-        cps.append(
-            self._checkpoint_compare(
-                "3.59",
-                u * v - rep.Q,
-                ref.integral_product(self.alg, self.a_poly),
-                note=(
-                    "reference coefficient table for this tag is not reproducible "
-                    "from the master equations (see notes); derived relation is "
-                    "carried forward."
-                ),
-            )
-        )
-        cps.append(
-            self._checkpoint_compare(
-                "3.60",
-                E * E - rep.S,
-                ref.integral_square(self.alg, self.a_poly),
-                note=(
-                    "reference coefficient table for this tag is not reproducible "
-                    "from the master equations (see notes); derived relation is "
-                    "carried forward."
-                ),
-            )
-        )
+        cps = self._stage_checkpoints()
         if any(c.status == FLAGGED for c in cps):
             kap_ref = ref.kappa_reference(n)
             kap_fix = ref.kappa_corrected(n)
@@ -969,42 +885,30 @@ class _Pipeline:
                 "downstream; the elimination outcome is unaffected (verified for "
                 "both sign branches)."
             )
-        self._integrals = FirstIntegrals(
-            sum_quotient=(u + v) * E - rep.X,
-            lone_quotient=w * E - rep.Y,
-            product=u * v - rep.Q,
-            square=E * E - rep.S,
+        return FirstIntegrals(
+            sum_quotient=pair_sum,
+            lone_quotient=lone,
+            product=product,
+            square=square,
             checkpoints=cps,
         )
-        self._done.add("integrals")
-        return self._integrals
 
     def _split_linear(self, poly: Polynomial):
         """Write poly = aX*(u+v)*E + aY*w*E + form; return (aX, aY, form)."""
-        r = self.ring
         E, u, v, w = self.E, self.u, self.v, self.w
-        exp_ue = self._exp_of({"w212": 1, "E": 1})
-        exp_ve = self._exp_of({"w313": 1, "E": 1})
-        exp_we = self._exp_of({"w414": 1, "E": 1})
-        aX = poly.terms.get(exp_ue, Fraction(0))
-        aX2 = poly.terms.get(exp_ve, Fraction(0))
+        aX = poly.terms.get(self._exp_of({"w212": 1, "E": 1}), Fraction(0))
+        aX2 = poly.terms.get(self._exp_of({"w313": 1, "E": 1}), Fraction(0))
         if aX != aX2:
-            raise CheckpointFailure(
-                "flow-term relation is not symmetric in the paired quotients",
-                report=self._partial_report(),
-            )
-        aY = poly.terms.get(exp_we, Fraction(0))
+            self._fail("flow-term relation is not symmetric in the paired quotients")
+        aY = poly.terms.get(self._exp_of({"w414": 1, "E": 1}), Fraction(0))
         form = poly - aX * ((u + v) * E) - aY * (w * E)
         return aX, aY, self._form_part(form)
 
     # -- stage: tangency curve -------------------------------------------------------
 
-    def tangency_curve(self):
-        if "tangency" in self._done:
-            return self._tangency
-        self.first_integrals()
-        n, c1, c2 = self.n, self.c1, self.c2
-        H, beta = self.H, self.beta
+    def tangency(self):
+        n, c2 = self.n, self.c2
+        H = self.H
         p, q = self.p, self.q
 
         for state in self.branches.values():
@@ -1021,19 +925,14 @@ class _Pipeline:
             N = state.X.scale(c2)
             # internal identity: the antisymmetric combination collapses
             if (p * M - q * L) != ((p * q) * dS_b).scale(c2):
-                raise CheckpointFailure(
+                self._fail(
                     "antisymmetric combination of the linear forms failed its "
-                    "closed form",
-                    report=self._partial_report(),
+                    "closed form"
                 )
             curve_raw = state.Q * ((M - L) * (p * M - q * L)) + N * (L * M)
-            try:
-                bracket = curve_raw.exact_div(p * q)
-            except ExactDivisionError as exc:
-                raise CheckpointFailure(
-                    f"tangency curve did not factor through the cleared pair: {exc}",
-                    report=self._partial_report(),
-                )
+            bracket = self._exact_div(
+                curve_raw, p * q, "tangency curve did not factor through the cleared pair"
+            )
             state.L, state.M, state.N = L, M, N
             state.curve9 = self._form_part(bracket).primitive()
         self._add_side_condition(self.E, "3.61")
@@ -1062,9 +961,7 @@ class _Pipeline:
             "tangency curve has exact joint degree 9 with support inside the "
             "odd-strata template",
         )
-        self._tangency = (rep.L, rep.M, rep.N, rep.curve9)
-        self._done.add("tangency")
-        return self._tangency
+        return (rep.L, rep.M, rep.N, rep.curve9)
 
     def _hba_support(self, poly: Polynomial) -> set[tuple[int, int, int]]:
         self._form_part(poly)
@@ -1094,24 +991,13 @@ class _Pipeline:
 
     # -- stage: prolonged curve ---------------------------------------------------------
 
-    def prolonged_curve(self) -> Polynomial:
-        if "prolonged" in self._done:
-            return self.branches[BRANCH_REPLAYED].curve12
-        self.tangency_curve()
-        c2 = self.c2
-        H = self.H
+    def prolonged(self) -> Polynomial:
         p, q = self.p, self.q
         for state in self.branches.values():
-            raw = ((p * state.M) * state.curve9.diff("beta")).scale(c2) + (
+            raw = ((p * state.M) * state.curve9.diff("beta")).scale(self.c2) + (
                 p * state.M - q * state.L
             ) * state.curve9.diff("H")
-            try:
-                reduced = raw.exact_div(H)
-            except ExactDivisionError as exc:
-                raise CheckpointFailure(
-                    f"prolonged curve is not a multiple of H: {exc}",
-                    report=self._partial_report(),
-                )
+            reduced = self._exact_div(raw, self.H, "prolonged curve is not a multiple of H")
             state.curve12 = self._form_part(reduced).primitive()
         self._add_side_condition(self.p, "3.64")
         self._add_side_condition(self.c2 * self.H, "3.65")
@@ -1126,23 +1012,14 @@ class _Pipeline:
             "prolonged curve has exact joint degree 12 with support inside the "
             "even-strata template",
         )
-        self._done.add("prolonged")
         return rep.curve12
 
     # -- stage: final elimination ----------------------------------------------------
 
     def eliminate(self) -> EliminationReport:
-        if "eliminate" in self._done:
-            return self._report
-        self.lemma31()
-        self.lemma32()
-        self.prolonged_curve()
-
-        small_vars = ("H", "beta", "a")
-        small = PolynomialRing(small_vars)
         for state in self.branches.values():
-            c9 = state.curve9.restrict_ring(small)
-            c12 = state.curve12.restrict_ring(small)
+            c9 = state.curve9.restrict_ring(_CURVE_RING)
+            c12 = state.curve12.restrict_ring(_CURVE_RING)
             if c9.degree("beta") < 1 or c12.degree("beta") < 1:
                 raise DegreeError(
                     "both curves must be nonconstant in beta before elimination"
@@ -1151,13 +1028,10 @@ class _Pipeline:
 
         rep = self.branches[BRANCH_REPLAYED]
         res = rep.final_resultant
-        parity = {exp[small.index("H")] % 2 for exp in res.terms}
+        parity = {exp[_CURVE_RING.index("H")] % 2 for exp in res.terms}
         if len(parity) > 1:
-            raise CheckpointFailure(
-                "final resultant mixes H-parities",
-                report=self._partial_report(),
-            )
-        self._consistency_spotcheck(rep, small)
+            self._fail("final resultant mixes H-parities")
+        self._consistency_spotcheck(rep)
 
         verdict = VERDICT_INCONCLUSIVE if res.is_zero() else VERDICT_CONSTANT
         branches_out = {}
@@ -1167,8 +1041,8 @@ class _Pipeline:
             nz = not state.final_resultant.is_zero()
             branches_out[label] = BranchSummary(
                 label=label,
-                curve9=state.curve9.restrict_ring(small),
-                curve12=state.curve12.restrict_ring(small),
+                curve9=state.curve9.restrict_ring(_CURVE_RING),
+                curve12=state.curve12.restrict_ring(_CURVE_RING),
                 resultant_nonzero=nz,
                 verdict=VERDICT_CONSTANT if nz else VERDICT_INCONCLUSIVE,
             )
@@ -1187,26 +1061,13 @@ class _Pipeline:
                 else "; branch outcomes differ, see branches"
             )
         self.notes.append(note)
-        self._report = EliminationReport(
-            version="1",
-            config=self.cfg,
-            checkpoints=list(self.checkpoints),
-            side_conditions=list(self.side_conditions),
-            curve9=rep.curve9.restrict_ring(small),
-            curve12=rep.curve12.restrict_ring(small),
-            final_resultant=res,
-            verdict=verdict,
-            branches=branches_out,
-            notes=list(self.notes),
-        )
-        self._done.add("eliminate")
-        return self._report
+        return self._report(verdict, branches_out)
 
-    def _consistency_spotcheck(self, state: _BranchState, small: PolynomialRing) -> None:
+    def _consistency_spotcheck(self, state: _BranchState) -> None:
         """At sample points, shared roots in beta must match resultant zeros."""
         rng = random.Random(1_000_003 * self.n + (0 if self.cfg.a_mode == "symbolic" else 1))
-        c9 = state.curve9.restrict_ring(small)
-        c12 = state.curve12.restrict_ring(small)
+        c9 = state.curve9.restrict_ring(_CURVE_RING)
+        c12 = state.curve12.restrict_ring(_CURVE_RING)
         res = state.final_resultant
         checked = 0
         attempts = 0
@@ -1225,23 +1086,35 @@ class _Pipeline:
             share_root = g.degree("beta") >= 1
             res_zero = r0.is_zero()
             if share_root != res_zero:
-                raise CheckpointFailure(
+                self._fail(
                     "specialization cross-check failed at "
                     f"H={H0}, a={a0}: shared-root status {share_root} vs "
-                    f"resultant-zero status {res_zero}",
-                    report=self._partial_report(),
+                    f"resultant-zero status {res_zero}"
                 )
             checked += 1
         if checked < 20:
-            raise CheckpointFailure(
+            self._fail(
                 "could not find enough admissible sample points for the "
-                "specialization cross-check",
-                report=self._partial_report(),
+                "specialization cross-check"
             )
         self.notes.append(
             f"specialization cross-check: {checked} sample points consistent "
             "with the resultant's vanishing locus"
         )
+
+
+# The stage table: name -> (dependencies, method).  Dependencies are listed in
+# table order, so every run executes the stages it needs in this order.
+_STAGES = {
+    "lemma31": ((), _Pipeline.lemma31),
+    "omega": ((), _Pipeline.omega),
+    "lemma32": ((), _Pipeline.lemma32),
+    "masters": (("omega",), _Pipeline.masters),
+    "first_integrals": (("masters",), _Pipeline.first_integrals),
+    "tangency": (("first_integrals",), _Pipeline.tangency),
+    "prolonged": (("tangency",), _Pipeline.prolonged),
+    "eliminate": (("lemma31", "omega", "lemma32", "prolonged"), _Pipeline.eliminate),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -1251,53 +1124,47 @@ class _Pipeline:
 
 def verify_lemma31(cfg: ReplayConfig) -> ContradictionCertificate:
     """Certify the accepted eigenvalue pattern and reject the degenerate branch."""
-    return _Pipeline(cfg).lemma31()
+    return _Pipeline(cfg).run("lemma31")
 
 
 def verify_omega_identities(cfg: ReplayConfig) -> OmegaIdentityProof:
     """Verify the connection-quotient residues and derive the quadratic relations."""
-    return _Pipeline(cfg).omega_identities()
+    return _Pipeline(cfg).run("omega")
 
 
 def verify_lemma32(cfg: ReplayConfig) -> Lemma32Certificates:
     """Produce eliminant certificates for both auxiliary-direction branches."""
-    return _Pipeline(cfg).lemma32()
+    return _Pipeline(cfg).run("lemma32")
 
 
 def derive_master_equations(cfg: ReplayConfig) -> MasterEquations:
     """Derive the three master equations and check them against the reference."""
-    pipe = _Pipeline(cfg)
-    return pipe.masters()
+    return _Pipeline(cfg).run("masters")
 
 
 def derive_first_integrals(cfg: ReplayConfig) -> FirstIntegrals:
     """Solve the master equations for the individual flow terms."""
-    return _Pipeline(cfg).first_integrals()
+    return _Pipeline(cfg).run("first_integrals")
 
 
 def derive_tangency_curve(cfg: ReplayConfig):
     """Return (L, M, N, curve9) for the replayed branch."""
-    return _Pipeline(cfg).tangency_curve()
+    return _Pipeline(cfg).run("tangency")
 
 
 def derive_prolonged_curve(cfg: ReplayConfig) -> Polynomial:
     """Return the degree-12 prolongation of the tangency curve."""
-    return _Pipeline(cfg).prolonged_curve()
+    return _Pipeline(cfg).run("prolonged")
 
 
 def eliminate_beta(cfg: ReplayConfig) -> EliminationReport:
-    """Run the final resultant elimination and assemble the report."""
-    return _Pipeline(cfg).eliminate()
+    """Run the final resultant elimination and assemble the report.
+
+    The elimination depends on every other stage, so this is the full replay.
+    """
+    return _Pipeline(cfg).run("eliminate")
 
 
 def replay_all(cfg: ReplayConfig) -> EliminationReport:
-    """Run every stage in order and return the aggregated report."""
-    pipe = _Pipeline(cfg)
-    pipe.lemma31()
-    pipe.omega_identities()
-    pipe.lemma32()
-    pipe.masters()
-    pipe.first_integrals()
-    pipe.tangency_curve()
-    pipe.prolonged_curve()
-    return pipe.eliminate()
+    """Run every stage in table order and return the aggregated report."""
+    return _Pipeline(cfg).run("eliminate")

@@ -108,11 +108,23 @@ class TestExitCodes:
         )
         assert code == 2
 
-    def test_checkpoint_failure_exits_three(self, capsys, monkeypatch):
+    def test_checkpoint_failure_exits_three(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(reference_forms, "TEMPLATE_CUBIC_FORM", frozenset())
-        code, _, err = run(capsys, "replay", "--n", "4")
+        out = tmp_path / "partial.json"
+        code, _, err = run(capsys, "replay", "--n", "4", "--out", str(out))
         assert code == 3
         assert "checkpoint failure" in err
+        # the partial report survives the halt: on disk and summarized on stderr
+        partial = json.loads(out.read_text(encoding="utf-8"))
+        assert partial["verdict"] == "inconclusive"
+        assert partial["checkpoints"][-1]["id"] == "3.61-M"
+        count = len(partial["checkpoints"])
+        assert f"partial report: {count} checkpoint(s) passed, last 3.61-M" in err
+        # an unwritable --out is reported without masking the checkpoint exit code
+        unwritable = tmp_path / "missing-dir" / "partial.json"
+        code, _, err = run(capsys, "replay", "--n", "4", "--out", str(unwritable))
+        assert code == 3
+        assert "cannot write the partial report" in err
 
 
 class TestInputSources:

@@ -34,6 +34,7 @@ from deltahyp.replay import (
     STRUCTURAL,
     UP_TO_UNIT,
     VERDICT_CONSTANT,
+    VERDICT_INCONCLUSIVE,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -276,6 +277,15 @@ class TestElimination:
         report = eliminate_beta(ReplayConfig(n=4))
         assert report.verdict == VERDICT_CONSTANT
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_eliminate_beta_is_the_full_replay(self, n):
+        # the elimination depends on every other stage, so both entry points
+        # run the same stages in the same order and report the same bytes
+        cfg = ReplayConfig(n=n)
+        assert canonical_dumps(eliminate_beta(cfg).to_json_dict()) == canonical_dumps(
+            replay_all(cfg).to_json_dict()
+        )
+
 
 class TestGoldenReports:
     @pytest.mark.parametrize(
@@ -322,4 +332,14 @@ class TestFailureModes:
         monkeypatch.setattr(reference_forms, "TEMPLATE_CUBIC_FORM", frozenset())
         with pytest.raises(CheckpointFailure) as err:
             derive_tangency_curve(ReplayConfig(n=4))
-        assert err.value.report is not None
+        report = err.value.report
+        assert report is not None
+        # the tangency stage's dependencies ran in full; lemma31 and lemma32 did not
+        assert [cp.id for cp in report.checkpoints] == [
+            "3.41-cyclic", "3.42", "3.43", "3.44", "3.45",
+            "3.51", "3.52", "3.54", "3.55", "3.56",
+            "3.57", "3.58", "3.59", "3.60",
+            "3.61-L", "3.61-M",
+        ]
+        assert report.branches == {}
+        assert report.verdict == VERDICT_INCONCLUSIVE
