@@ -15,8 +15,6 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .delta import (
     DEFAULT_RESTARTS,
     DEFAULT_SEED,
@@ -30,26 +28,17 @@ from .delta import (
     tau_from_spectrum,
 )
 from .derivation import ReplayConfig
-from .errors import (
-    CheckpointFailure,
-    ConfigError,
-    DegreeError,
-    DeltahypError,
-    GeometryError,
-    GridError,
-    ParseError,
-    SchemaError,
-    UnknownVariableError,
-    UnsupportedModeError,
-)
+from .errors import CheckpointFailure, ConfigError, DeltahypError
 from .jsonio import canonical_dumps, dump_path, load_path
 from .replay import VERDICT_CONSTANT, replay_all
 from .shape import ShapeOperator, curvature_report
 from .surfaces import (
+    CATALOG_KINDS,
     ImmersionGrid,
-    SurfaceSpec,
     catalog_shape_operator,
     load_case,
+    parse_matrix,
+    parse_surface_spec,
     shape_operator_from_grid,
 )
 
@@ -57,17 +46,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_CHECKPOINT = 3
-
-_USAGE_ERRORS = (
-    ConfigError,
-    SchemaError,
-    GeometryError,
-    GridError,
-    DegreeError,
-    ParseError,
-    UnknownVariableError,
-    UnsupportedModeError,
-)
 
 
 def _default_seed() -> int:
@@ -162,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = sub.add_parser("catalog", help="shape operator of a catalog surface")
     cp.add_argument("--case", metavar="PATH", help="JSON surface spec or grid")
-    cp.add_argument("--kind", choices=("spherical-cylinder", "round-sphere", "hyperplane", "graph"))
+    cp.add_argument("--kind", choices=CATALOG_KINDS)
     cp.add_argument("--n", type=int, help="dimension")
     cp.add_argument("--p", type=int, help="curved factor dimension (cylinders)")
     cp.add_argument("--radius", type=float, help="radius (cylinders and spheres)")
@@ -182,30 +160,28 @@ def _parse_spectrum(text: str) -> list[Fraction]:
         raise ConfigError(f"cannot parse spectrum {text!r}: {exc}") from None
     if len(values) < 2:
         raise ConfigError("spectrum needs at least two values")
+    if any(abs(x) > sys.float_info.max for x in values):
+        raise ConfigError(f"spectrum {text!r} has a value beyond the float range")
     return values
 
 
-def _load_matrix(path: str) -> ShapeOperator:
-    data = load_path(path)
-    if not isinstance(data, dict):
-        raise SchemaError("matrix file must hold a JSON object", positions=["$"])
-    unknown = sorted(set(data) - {"n", "matrix"})
-    if unknown:
-        raise SchemaError(
-            f"unknown field(s) {', '.join(map(repr, unknown))} in matrix file",
-            positions=[f"$.{k}" for k in unknown],
-        )
-    if "matrix" not in data:
-        raise SchemaError("matrix file is missing 'matrix'", positions=["$.matrix"])
-    matrix = data["matrix"]
-    operator = ShapeOperator(np.array(matrix, dtype=float))
-    declared = data.get("n", operator.n)
-    if declared != operator.n:
-        raise SchemaError(
-            f"declared n={declared} does not match matrix size {operator.n}",
-            positions=["$.n"],
-        )
-    return operator
+def _spec_from_flags(args) -> dict:
+    """The surface spec document that the ``catalog --kind`` flags describe."""
+    flags = {"kind": args.kind, "n": args.n, "p": args.p, "radius": args.radius}
+    data = {key: value for key, value in flags.items() if value is not None}
+    if args.hessian is not None:
+        try:
+            data["hessian"] = json.loads(args.hessian)
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse --hessian: {exc}") from None
+    return data
+
+
+def _case_operator(case) -> ShapeOperator:
+    """Shape operator of a case: a catalog surface or a sampled immersion grid."""
+    if isinstance(case, ImmersionGrid):
+        return shape_operator_from_grid(case)
+    return catalog_shape_operator(case)
 
 
 def _operator_from_args(args) -> tuple[ShapeOperator, list[Fraction] | None]:
@@ -214,11 +190,12 @@ def _operator_from_args(args) -> tuple[ShapeOperator, list[Fraction] | None]:
         exact = _parse_spectrum(args.spectrum)
         return ShapeOperator.from_spectrum([float(x) for x in exact]), exact
     if getattr(args, "matrix", None):
-        return _load_matrix(args.matrix), None
-    case = load_case(args.case)
-    if isinstance(case, SurfaceSpec):
-        return catalog_shape_operator(case), None
-    return shape_operator_from_grid(case), None
+        try:
+            data = load_path(args.matrix)
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge int, deep nesting
+            raise ConfigError(f"invalid JSON in {args.matrix}: {exc}") from None
+        return parse_matrix(data), None
+    return _case_operator(load_case(args.case)), None
 
 
 # -- report rendering ----------------------------------------------------------------
@@ -376,30 +353,12 @@ def _cmd_null2(args) -> int:
 def _cmd_catalog(args) -> int:
     if args.case:
         case = load_case(args.case)
-        if isinstance(case, ImmersionGrid):
-            operator = shape_operator_from_grid(case)
-            spec_payload = {"source": "grid"}
-        else:
-            operator = catalog_shape_operator(case)
-            spec_payload = case.to_json_dict()
+    elif args.kind:
+        case = parse_surface_spec(_spec_from_flags(args))
     else:
-        if not args.kind:
-            raise ConfigError("catalog needs either --case or --kind")
-        hessian = None
-        if args.hessian is not None:
-            try:
-                hessian = json.loads(args.hessian)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"cannot parse --hessian: {exc}") from None
-            hessian = tuple(tuple(float(x) for x in row) for row in hessian)
-        n = args.n if args.n is not None else (len(hessian) if hessian else None)
-        if n is None:
-            raise ConfigError("catalog needs --n (or a hessian implying it)")
-        spec = SurfaceSpec(
-            kind=args.kind, n=n, p=args.p, radius=args.radius, hessian=hessian
-        )
-        operator = catalog_shape_operator(spec)
-        spec_payload = spec.to_json_dict()
+        raise ConfigError("catalog needs either --case or --kind")
+    operator = _case_operator(case)
+    spec_payload = {"source": "grid"} if isinstance(case, ImmersionGrid) else case.to_json_dict()
     payload = {
         "spec": spec_payload,
         "operator": operator.to_json_dict(),
@@ -434,17 +393,10 @@ def main(argv=None) -> int:
         if exc.report is not None:
             _keep_partial_report(args, exc.report)
         return EXIT_CHECKPOINT
-    except _USAGE_ERRORS as exc:
-        if isinstance(exc, SchemaError) and exc.positions:
-            print(f"error: {exc} (at {', '.join(exc.positions)})", file=sys.stderr)
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DeltahypError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DeltahypError, OSError) as exc:
+        positions = getattr(exc, "positions", None)
+        where = f" (at {', '.join(positions)})" if positions else ""
+        print(f"error: {exc}{where}", file=sys.stderr)
         return EXIT_USAGE
 
 

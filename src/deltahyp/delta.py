@@ -9,7 +9,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import GeometryError, UnsupportedModeError
+from .errors import ConfigError, GeometryError, UnsupportedModeError
 from .shape import ShapeOperator, SpectrumReport, curvature_report
 from .stiefel import minimize_tau
 
@@ -147,6 +147,8 @@ def delta_invariant(
     optimizer candidate searches all orthonormal r-frames by projected
     gradient descent.  The smaller value wins and both are recorded.
     """
+    if use_optimizer and restarts < 1:
+        raise ConfigError(f"the optimizer needs at least one restart, got {restarts}")
     report = curvature_report(A)
     spectrum = list(report.principal_curvatures)
     comb_value, witness_subset = combinatorial_inf(spectrum, r)

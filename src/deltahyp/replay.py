@@ -46,7 +46,7 @@ from typing import NoReturn, Optional
 
 from . import reference_forms as ref
 from .derivation import Derivation, DerivationAlgebra, ReplayConfig, build_algebra
-from .errors import CheckpointFailure, DegreeError, ExactDivisionError
+from .errors import CheckpointFailure, ExactDivisionError
 from .poly import Polynomial, PolynomialRing, RationalFunction, poly_gcd
 from .resultant import resultant
 
@@ -1021,9 +1021,7 @@ class _Pipeline:
             c9 = state.curve9.restrict_ring(_CURVE_RING)
             c12 = state.curve12.restrict_ring(_CURVE_RING)
             if c9.degree("beta") < 1 or c12.degree("beta") < 1:
-                raise DegreeError(
-                    "both curves must be nonconstant in beta before elimination"
-                )
+                self._fail("both curves must be nonconstant in beta before elimination")
             state.final_resultant = resultant(c9, c12, "beta")
 
         rep = self.branches[BRANCH_REPLAYED]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,11 @@ class ShapeOperator:
         n = m.shape[0]
         if n < 2:
             raise GeometryError(f"shape operator needs dimension >= 2, got {n}")
-        scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-        skew = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+        peak = float(np.max(np.abs(m)))  # NaN or inf if any entry is
+        if not math.isfinite(peak):
+            raise GeometryError("shape operator entries must be finite")
+        scale = max(1.0, peak)
+        skew = float(np.max(np.abs(m - m.T)))
         if skew > SYMMETRY_RTOL * scale:
             raise GeometryError(
                 f"matrix is not symmetric within tolerance: max|A - A^T| = {skew:.3e}"
@@ -86,8 +90,11 @@ def curvature_report(A: ShapeOperator) -> SpectrumReport:
     eig = np.sort(A.eigenvalues())
     n = A.n
     H = float(np.sum(eig) / n)
-    tr2 = float(np.sum(eig * eig))
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        tr2 = float(np.sum(eig * eig))
     tau = 0.5 * (n * n * H * H - tr2)
+    if not all(map(math.isfinite, (H, tr2, tau))):
+        raise GeometryError("curvature invariants overflow the float range")
     return SpectrumReport(
         principal_curvatures=tuple(float(x) for x in eig),
         H=H,

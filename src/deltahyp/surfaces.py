@@ -1,24 +1,33 @@
-"""Closed-form example hypersurfaces and grid-sampled immersion ingestion."""
+"""Closed-form example hypersurfaces, grid-sampled immersions, and the JSON
+schema of every operator input the CLI reads: spec, grid and matrix documents."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import GeometryError, GridError, SchemaError
 from .jsonio import dump_path, load_path
-from .shape import ShapeOperator
+from .shape import SYMMETRY_RTOL, ShapeOperator
 
 #: Condition-number threshold above which the first fundamental form is
 #: treated as degenerate.
 METRIC_COND_LIMIT = 1e8
 
-CATALOG_KINDS = ("spherical-cylinder", "round-sphere", "hyperplane", "graph")
+#: Catalog kind -> (required fields, optional fields) of a surface spec,
+#: besides ``kind``.  Spec files, ``catalog --kind`` flags and ``SurfaceSpec``
+#: all read this one table.
+SPEC_FIELDS = {
+    "spherical-cylinder": (("n", "p", "radius"), ()),
+    "round-sphere": (("n", "radius"), ()),
+    "hyperplane": (("n",), ()),
+    "graph": (("hessian",), ("n",)),
+}
+
+CATALOG_KINDS = tuple(SPEC_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -34,37 +43,29 @@ class SurfaceSpec:
     def __post_init__(self):
         if self.kind not in CATALOG_KINDS:
             raise GeometryError(f"unknown catalog kind {self.kind!r}")
-        if self.n < 2:
-            raise GeometryError(f"dimension must be >= 2, got {self.n}")
-        if self.kind == "spherical-cylinder":
-            self._forbid(hessian=self.hessian)
-            if self.p is None or not 1 <= self.p <= self.n - 1:
-                raise GeometryError(
-                    f"spherical cylinder needs 1 <= p <= n-1, got p={self.p}, n={self.n}"
-                )
-            if self.radius is None or self.radius <= 0:
-                raise GeometryError(f"radius must be positive, got {self.radius}")
-        elif self.kind == "round-sphere":
-            self._forbid(p=self.p, hessian=self.hessian)
-            if self.radius is None or self.radius <= 0:
-                raise GeometryError(f"radius must be positive, got {self.radius}")
-        elif self.kind == "hyperplane":
-            self._forbid(p=self.p, radius=self.radius, hessian=self.hessian)
-        elif self.kind == "graph":
-            self._forbid(p=self.p, radius=self.radius)
-            if self.hessian is None:
-                raise GeometryError("graph spec needs a hessian")
-            if any(len(row) != self.n for row in self.hessian) or len(self.hessian) != self.n:
-                raise GeometryError(
-                    f"graph hessian must be {self.n}x{self.n} to match n={self.n}"
-                )
-
-    def _forbid(self, **fields):
-        for name, value in fields.items():
-            if value is not None:
+        required, optional = SPEC_FIELDS[self.kind]
+        for name in ("n", "p", "radius", "hessian"):
+            given = getattr(self, name) is not None
+            if not given and name in required:
+                raise GeometryError(f"field {name!r} missing for kind {self.kind!r}")
+            if given and name not in required + optional:
                 raise GeometryError(
                     f"field {name!r} does not apply to kind {self.kind!r}"
                 )
+        if self.n < 2:
+            raise GeometryError(f"dimension must be >= 2, got {self.n}")
+        if self.p is not None and not 1 <= self.p <= self.n - 1:
+            raise GeometryError(
+                f"spherical cylinder needs 1 <= p <= n-1, got p={self.p}, n={self.n}"
+            )
+        if self.radius is not None and not (math.isfinite(self.radius) and self.radius > 0):
+            raise GeometryError(f"radius must be positive and finite, got {self.radius}")
+        if self.hessian is not None and (
+            len(self.hessian) != self.n or any(len(row) != self.n for row in self.hessian)
+        ):
+            raise GeometryError(
+                f"graph hessian must be {self.n}x{self.n} to match n={self.n}"
+            )
 
     def to_json_dict(self) -> dict:
         out: dict = {"kind": self.kind, "n": self.n}
@@ -95,6 +96,8 @@ class ImmersionGrid:
             )
         if any(x <= 0 for x in h):
             raise GridError(f"grid spacings must be positive, got {h}")
+        if any(x <= 0 for x in shape):
+            raise GridError(f"grid shape entries must be positive, got {shape}")
         pts = np.array(points, dtype=float)
         expected = math.prod(shape) * (n + 1)
         if pts.size != expected:
@@ -240,146 +243,148 @@ def _require(data: dict, keys: set[str], where: str) -> None:
         )
 
 
-def _expect_int(data: dict, key: str):
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(
-            f"field {key!r} must be an integer, got {type(value).__name__}",
-            positions=[f"$.{key}"],
-        )
-    return value
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _expect_number(data: dict, key: str) -> float:
-    value = data[key]
+def _is_finite_number(value) -> bool:
+    """True for a JSON number, not a bool, that converts to a finite float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(map(check, value))
+
+
+#: Field -> (type check, what the field must be), for every scalar and list
+#: field of the spec and grid documents; matrices go through ``_expect_matrix``.
+_FIELD_TYPES = {
+    "n": (_is_int, "an integer"),
+    "p": (_is_int, "an integer"),
+    "radius": (_is_finite_number, "a finite number"),
+    "h": (_list_of(_is_finite_number), "a list of finite numbers"),
+    "base": (_list_of(_is_int), "a list of integers"),
+    "shape": (_list_of(_is_int), "a list of integers"),
+    "points": (_list_of(_is_finite_number), "a list of finite numbers"),
+}
+
+
+def _expect_matrix(data: dict, key: str) -> np.ndarray:
+    """A nonempty square symmetric matrix of finite numbers matching a declared ``n``."""
+    rows = data[key]
+    if not isinstance(rows, list) or not rows:
+        raise SchemaError(f"field {key!r} must be a nonempty matrix", positions=[f"$.{key}"])
+    size = len(rows)
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != size:
+            raise SchemaError(
+                f"{key} row {i} must be a list of length {size}",
+                positions=[f"$.{key}[{i}]"],
+            )
+        for j, value in enumerate(row):
+            if not _is_finite_number(value):
+                raise SchemaError(
+                    f"{key} entry [{i}][{j}] must be a finite number",
+                    positions=[f"$.{key}[{i}][{j}]"],
+                )
+    matrix = np.array(rows, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(matrix))))
+    skew = np.argwhere(np.abs(matrix - matrix.T) > SYMMETRY_RTOL * scale)
+    if skew.size:
+        i, j = skew[0]  # row-major first, so i < j
         raise SchemaError(
-            f"field {key!r} must be a number, got {type(value).__name__}",
-            positions=[f"$.{key}"],
+            f"{key} must be symmetric; entries [{i}][{j}] and [{j}][{i}] differ",
+            positions=[f"$.{key}[{i}][{j}]", f"$.{key}[{j}][{i}]"],
         )
-    return float(value)
-
-
-def _expect_number_list(data: dict, key: str) -> list[float]:
-    value = data[key]
-    if not isinstance(value, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
-    ):
+    declared_n = data.get("n", size)
+    if declared_n != size:
         raise SchemaError(
-            f"field {key!r} must be a list of numbers", positions=[f"$.{key}"]
+            f"declared n={declared_n} does not match {key} size {size}",
+            positions=["$.n"],
         )
-    return [float(x) for x in value]
+    return matrix
 
 
-def _parse_surface_spec(data: dict) -> SurfaceSpec:
+def _parse_fields(data: dict, required, optional, where: str) -> dict:
+    """Check the field names of ``data`` and the type of each field present.
+
+    Returns the fields other than ``kind``, with a matrix field as an array.
+    """
+    _require(data, set(required), where)
+    _reject_unknown(data, {*required, *optional}, where)
+    for key, (check, what) in _FIELD_TYPES.items():
+        if key in data and not check(data[key]):
+            raise SchemaError(f"field {key!r} must be {what}", positions=[f"$.{key}"])
+    fields = {key: value for key, value in data.items() if key != "kind"}
+    for key in ("hessian", "matrix"):
+        if key in data:
+            fields[key] = _expect_matrix(data, key)
+    return fields
+
+
+def parse_surface_spec(data: dict) -> SurfaceSpec:
+    """Validate a surface spec document (a spec file or ``catalog --kind`` flags)."""
     kind = data.get("kind")
     if kind not in CATALOG_KINDS:
         raise SchemaError(
             f"unknown catalog kind {kind!r}; expected one of {CATALOG_KINDS}",
             positions=["$.kind"],
         )
-    where = f"surface spec of kind {kind!r}"
-    if kind == "spherical-cylinder":
-        _require(data, {"kind", "p", "n", "radius"}, where)
-        _reject_unknown(data, {"kind", "p", "n", "radius"}, where)
-        spec = SurfaceSpec(
-            kind=kind,
-            n=_expect_int(data, "n"),
-            p=_expect_int(data, "p"),
-            radius=_expect_number(data, "radius"),
-        )
-    elif kind == "round-sphere":
-        _require(data, {"kind", "n", "radius"}, where)
-        _reject_unknown(data, {"kind", "n", "radius"}, where)
-        spec = SurfaceSpec(kind=kind, n=_expect_int(data, "n"), radius=_expect_number(data, "radius"))
-    elif kind == "hyperplane":
-        _require(data, {"kind", "n"}, where)
-        _reject_unknown(data, {"kind", "n"}, where)
-        spec = SurfaceSpec(kind=kind, n=_expect_int(data, "n"))
-    else:  # graph
-        _require(data, {"kind", "hessian"}, where)
-        _reject_unknown(data, {"kind", "hessian", "n"}, where)
-        hess = data["hessian"]
-        if not isinstance(hess, list) or not hess:
-            raise SchemaError("field 'hessian' must be a nonempty matrix", positions=["$.hessian"])
-        size = len(hess)
-        for i, row in enumerate(hess):
-            if not isinstance(row, list) or len(row) != size:
-                raise SchemaError(
-                    f"hessian row {i} must be a list of length {size}",
-                    positions=[f"$.hessian[{i}]"],
-                )
-            for j, value in enumerate(row):
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise SchemaError(
-                        f"hessian entry [{i}][{j}] must be a number",
-                        positions=[f"$.hessian[{i}][{j}]"],
-                    )
-        matrix = np.array(hess, dtype=float)
-        scale = max(1.0, float(np.max(np.abs(matrix))))
-        bad = [
-            (i, j)
-            for i in range(size)
-            for j in range(i + 1, size)
-            if abs(matrix[i, j] - matrix[j, i]) > 1e-12 * scale
-        ]
-        if bad:
-            i, j = bad[0]
-            raise SchemaError(
-                f"hessian must be symmetric; entries [{i}][{j}] and [{j}][{i}] differ",
-                positions=[f"$.hessian[{i}][{j}]", f"$.hessian[{j}][{i}]"],
-            )
-        declared_n = data.get("n", size)
-        if declared_n != size:
-            raise SchemaError(
-                f"declared n={declared_n} does not match hessian size {size}",
-                positions=["$.n"],
-            )
-        spec = SurfaceSpec(kind=kind, n=size, hessian=tuple(tuple(row) for row in matrix.tolist()))
-    return spec
+    required, optional = SPEC_FIELDS[kind]
+    fields = _parse_fields(
+        data, ("kind", *required), optional, f"surface spec of kind {kind!r}"
+    )
+    if "hessian" in fields:
+        fields.setdefault("n", len(fields["hessian"]))
+        fields["hessian"] = tuple(tuple(row) for row in fields["hessian"].tolist())
+    try:
+        return SurfaceSpec(kind=kind, **fields)
+    except GeometryError as exc:
+        raise SchemaError(str(exc), positions=["$"]) from exc
 
 
 def _parse_grid(data: dict) -> ImmersionGrid:
-    where = "immersion grid"
-    _require(data, {"n", "h", "base", "shape", "points"}, where)
-    _reject_unknown(data, {"n", "h", "base", "shape", "points"}, where)
-    n = _expect_int(data, "n")
-    h = _expect_number_list(data, "h")
-    base_raw = data["base"]
-    shape_raw = data["shape"]
-    for key, value in (("base", base_raw), ("shape", shape_raw)):
-        if not isinstance(value, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in value
-        ):
-            raise SchemaError(
-                f"field {key!r} must be a list of integers", positions=[f"$.{key}"]
-            )
-    points = _expect_number_list(data, "points")
+    fields = _parse_fields(data, ("n", "h", "base", "shape", "points"), (), "immersion grid")
     try:
-        return ImmersionGrid(n=n, h=h, base=base_raw, shape=shape_raw, points=points)
+        return ImmersionGrid(**fields)
     except GridError as exc:
         raise SchemaError(str(exc), positions=["$"]) from exc
 
 
-def load_case(path) -> Union[SurfaceSpec, ImmersionGrid]:
-    """Load either a catalog surface spec or an immersion grid from JSON."""
-    try:
-        data = load_path(path)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON in {path}: {exc}", positions=["$"]) from exc
+def parse_case(data) -> Union[SurfaceSpec, ImmersionGrid]:
+    """Validate a parsed case document: a catalog surface spec or an immersion grid."""
     if not isinstance(data, dict):
         raise SchemaError("top-level JSON value must be an object", positions=["$"])
     if "kind" in data:
-        try:
-            return _parse_surface_spec(data)
-        except GeometryError as exc:
-            raise SchemaError(str(exc), positions=["$"]) from exc
+        return parse_surface_spec(data)
     if "points" in data:
         return _parse_grid(data)
     raise SchemaError(
         "object is neither a surface spec (missing 'kind') nor a grid (missing 'points')",
         positions=["$"],
     )
+
+
+def parse_matrix(data) -> ShapeOperator:
+    """Validate a parsed matrix document ``{"n": N, "matrix": [[...]]}``."""
+    if not isinstance(data, dict):
+        raise SchemaError("matrix file must hold a JSON object", positions=["$"])
+    fields = _parse_fields(data, ("matrix",), ("n",), "matrix file")
+    return ShapeOperator(fields["matrix"])
+
+
+def load_case(path) -> Union[SurfaceSpec, ImmersionGrid]:
+    """Load either a catalog surface spec or an immersion grid from JSON."""
+    try:
+        data = load_path(path)
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge int, deep nesting
+        raise SchemaError(f"invalid JSON in {path}: {exc}", positions=["$"]) from exc
+    return parse_case(data)
 
 
 def save_report(path, report) -> None:

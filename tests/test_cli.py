@@ -127,6 +127,83 @@ class TestExitCodes:
         assert "cannot write the partial report" in err
 
 
+# argv with "{doc}" standing for a file that holds the document (JSON-encoded
+# unless given as raw text or bytes), and a fragment the error line must hold
+MALFORMED_INPUT = {
+    "ragged-matrix": (["null2", "--matrix", "{doc}"], {"matrix": [[1, 2], [3]]}, "$.matrix[1]"),
+    "string-matrix-entry": (["null2", "--matrix", "{doc}"], {"matrix": [["a"]]}, "$.matrix[0][0]"),
+    "nan-matrix-entry": (
+        ["null2", "--matrix", "{doc}"],
+        {"matrix": [[float("nan"), 0], [0, 1]]},
+        "$.matrix[0][0]",
+    ),
+    "overflowing-invariants": (
+        ["null2", "--matrix", "{doc}"],
+        {"matrix": [[1e200, 0], [0, 1e200]]},
+        "overflow",
+    ),
+    "matrix-not-utf8": (["null2", "--matrix", "{doc}"], b"\xff\xfe{", "invalid JSON"),
+    "overlong-integer": (
+        ["null2", "--matrix", "{doc}"],
+        '{"matrix": [[' + "1" * 5000 + "]]}",
+        "invalid JSON",
+    ),
+    "deeply-nested-case": (["catalog", "--case", "{doc}"], "[" * 200_000, "invalid JSON"),
+    "string-hessian-entry": (
+        ["catalog", "--kind", "graph", "--hessian", '[[1,"x"],[2,3]]'],
+        None,
+        "$.hessian[0][1]",
+    ),
+    "scalar-hessian": (["catalog", "--kind", "graph", "--hessian", "5"], None, "$.hessian"),
+    "negative-grid-shape": (
+        ["catalog", "--case", "{doc}"],
+        {"n": 2, "h": [0.1, 0.1], "base": [2, 2], "shape": [-1, -5], "points": [0.0] * 15},
+        "shape entries must be positive",
+    ),
+    "infinite-radius": (
+        ["catalog", "--case", "{doc}"],
+        {"kind": "round-sphere", "n": 4, "radius": float("inf")},
+        "$.radius",
+    ),
+    "nan-radius-flag": (
+        ["catalog", "--kind", "round-sphere", "--n", "4", "--radius", "nan"],
+        None,
+        "$.radius",
+    ),
+    "overflowing-spectrum": (
+        ["delta", "--r", "2", "--spectrum", "1e400,1,2"],
+        None,
+        "beyond the float range",
+    ),
+    "zero-restarts": (
+        ["delta", "--r", "2", "--spectrum", "1,2,3", "--restarts", "0"],
+        None,
+        "at least one restart",
+    ),
+    "negative-restarts": (
+        ["ideal", "--r", "2", "--spectrum", "1,2,3", "--restarts", "-1"],
+        None,
+        "at least one restart",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUT))
+def test_malformed_input_exits_two(capsys, tmp_path, name):
+    argv, doc, fragment = MALFORMED_INPUT[name]
+    path = tmp_path / "doc.json"
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, *(arg.replace("{doc}", str(path)) for arg in argv))
+    assert code == 2
+    assert err.startswith("error:")
+    assert fragment in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 class TestInputSources:
     def test_case_file(self, capsys, cylinder_case):
         code, out, _ = run(capsys, "null2", "--case", cylinder_case)

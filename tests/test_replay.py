@@ -27,6 +27,7 @@ from deltahyp import (
     verify_omega_identities,
 )
 from deltahyp import reference_forms
+from deltahyp import replay as replay_module
 from deltahyp.replay import (
     BRANCH_FIRST_PRINCIPLES,
     EXACT,
@@ -341,5 +342,26 @@ class TestFailureModes:
             "3.57", "3.58", "3.59", "3.60",
             "3.61-L", "3.61-M",
         ]
+        assert report.branches == {}
+        assert report.verdict == VERDICT_INCONCLUSIVE
+
+    def test_curve_constant_in_beta_halts_with_partial_report(self, monkeypatch):
+        # a prolonged curve that has lost beta cannot be eliminated: the replay
+        # halts like any other structural failure and keeps its partial report
+        dependencies, prolonged = replay_module._STAGES["prolonged"]
+
+        def prolonged_without_beta(pipeline):
+            curve = prolonged(pipeline)
+            for state in pipeline.branches.values():
+                state.curve12 = state.curve12.substitute("beta", 1)
+            return curve
+
+        monkeypatch.setitem(
+            replay_module._STAGES, "prolonged", (dependencies, prolonged_without_beta)
+        )
+        with pytest.raises(CheckpointFailure, match="nonconstant in beta") as err:
+            replay_all(ReplayConfig(n=4))
+        report = err.value.report
+        assert report.checkpoints[-1].id == "3.65"
         assert report.branches == {}
         assert report.verdict == VERDICT_INCONCLUSIVE
