@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -262,6 +263,13 @@ def _cmd_replay(args) -> int:
     return EXIT_OK if report.verdict == VERDICT_CONSTANT else EXIT_NEGATIVE
 
 
+def _check_tol(args) -> None:
+    """Reject a --tol that the ``|gap| <= tol`` tests cannot use."""
+    tol = getattr(args, "tol", DEFAULT_TOL)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"--tol must be finite and at least 0, got {tol}")
+
+
 def _resolve_seed(args) -> int:
     return args.seed if args.seed is not None else _default_seed()
 
@@ -387,6 +395,7 @@ def main(argv=None) -> int:
         # argparse already printed the usage message
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        _check_tol(args)
         return _COMMANDS[args.subcommand](args)
     except CheckpointFailure as exc:
         print(f"checkpoint failure: {exc}", file=sys.stderr)

@@ -96,15 +96,6 @@ def tau_from_spectrum(spectrum: list[Number]) -> Number:
     return total
 
 
-def restricted_tau_subset(spectrum: list[Number], subset) -> Number:
-    """Pair sum restricted to the given principal-direction indices."""
-    total = 0
-    values = [spectrum[i] for i in subset]
-    for i, j in combinations(range(len(values)), 2):
-        total = total + values[i] * values[j]
-    return total
-
-
 def combinatorial_inf(spectrum: list[Number], r: int) -> tuple[Number, tuple[int, ...]]:
     """Minimum of the restricted pair sum over all r-subsets of directions.
 
@@ -117,7 +108,7 @@ def combinatorial_inf(spectrum: list[Number], r: int) -> tuple[Number, tuple[int
     best = None
     best_subset = None
     for subset in combinations(range(n), r):
-        value = restricted_tau_subset(spectrum, subset)
+        value = tau_from_spectrum([spectrum[i] for i in subset])
         if best is None or value < best:
             best, best_subset = value, subset
     return best, best_subset
@@ -281,7 +272,6 @@ __all__ = [
     "SpectrumReport",
     "ShapeOperator",
     "tau_from_spectrum",
-    "restricted_tau_subset",
     "combinatorial_inf",
     "delta_from_spectrum",
     "delta_invariant",

@@ -68,9 +68,6 @@ class PolynomialRing:
         return self.const(1)
 
     def const(self, value) -> "Polynomial":
-        value = Fraction(value)
-        if value == 0:
-            return self.zero()
         return Polynomial(self, {(0,) * len(self.vars): value})
 
     def var(self, name: str) -> "Polynomial":
@@ -84,6 +81,12 @@ class PolynomialRing:
 
 def _grlex_key(exp: tuple[int, ...]) -> tuple:
     return (sum(exp), exp)
+
+
+def _signed_content(p: "Polynomial") -> Fraction:
+    """Content of a nonzero ``p`` with the sign of its leading coefficient."""
+    c = p.content()
+    return -c if p.leading_coefficient() < 0 else c
 
 
 class Polynomial:
@@ -135,11 +138,7 @@ class Polynomial:
         self._check(other)
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
-            new = out.get(exp, Fraction(0)) + coeff
-            if new == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = new
+            out[exp] = out.get(exp, 0) + coeff
         return Polynomial(self.ring, out)
 
     def __neg__(self):
@@ -155,11 +154,7 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                new = out.get(exp, Fraction(0)) + c1 * c2
-                if new == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = new
+                out[exp] = out.get(exp, 0) + c1 * c2
         return Polynomial(self.ring, out)
 
     def __rmul__(self, other):
@@ -190,8 +185,6 @@ class Polynomial:
 
     def scale(self, value) -> "Polynomial":
         value = Fraction(value)
-        if value == 0:
-            return self.ring.zero()
         return Polynomial(self.ring, {e: c * value for e, c in self.terms.items()})
 
     def __eq__(self, other):
@@ -254,72 +247,41 @@ class Polynomial:
 
     def coefficients_in(self, var: str) -> list["Polynomial"]:
         """Dense coefficient list [c_0, ..., c_d] viewing self in ``var``."""
-        d = self.degree(var)
-        if d < 0:
-            return []
-        return [self.coefficient_of(var, k) for k in range(d + 1)]
+        i = self.ring.index(var)
+        dense: list[dict] = [{} for _ in range(self.degree(var) + 1)]
+        for exp, coeff in self.terms.items():
+            dense[exp[i]][exp[:i] + (0,) + exp[i + 1 :]] = coeff
+        return [Polynomial(self.ring, terms) for terms in dense]
 
     # -- calculus / evaluation ----------------------------------------------
 
     def diff(self, var: str) -> "Polynomial":
         i = self.ring.index(var)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exp, coeff in self.terms.items():
-            e = exp[i]
-            if e == 0:
-                continue
-            new = list(exp)
-            new[i] = e - 1
-            key = tuple(new)
-            val = out.get(key, Fraction(0)) + coeff * e
-            if val == 0:
-                out.pop(key, None)
-            else:
-                out[key] = val
-        return Polynomial(self.ring, out)
-
-    def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
-        for var in self.variables_used():
-            if var not in assignment:
-                raise UnknownVariableError(f"assignment missing variable {var!r}")
-        values = {}
-        for var, val in assignment.items():
-            values[self.ring.index(var)] = Fraction(val)
-        total = Fraction(0)
-        for exp, coeff in self.terms.items():
-            term = coeff
-            for i, e in enumerate(exp):
-                if e:
-                    term *= values[i] ** e
-            total += term
-        return total
+        # lowering one exponent is injective, so no two terms meet
+        return Polynomial(
+            self.ring,
+            {
+                exp[:i] + (exp[i] - 1,) + exp[i + 1 :]: coeff * exp[i]
+                for exp, coeff in self.terms.items()
+                if exp[i]
+            },
+        )
 
     def substitute(self, var: str, value) -> "Polynomial":
         """Partial evaluation: replace one variable by a rational or polynomial."""
-        i = self.ring.index(var)
         if isinstance(value, Polynomial):
             self._check(value)
             out = self.ring.zero()
-            for exp, coeff in self.terms.items():
-                reduced = list(exp)
-                e = reduced[i]
-                reduced[i] = 0
-                term = Polynomial(self.ring, {tuple(reduced): coeff})
-                out = out + term * value**e
+            for coeff in reversed(self.coefficients_in(var)):
+                out = out * value + coeff
             return out
+        i = self.ring.index(var)
         value = Fraction(value)
-        out_terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Fraction] = {}
         for exp, coeff in self.terms.items():
-            reduced = list(exp)
-            e = reduced[i]
-            reduced[i] = 0
-            key = tuple(reduced)
-            val = out_terms.get(key, Fraction(0)) + coeff * value**e
-            if val == 0:
-                out_terms.pop(key, None)
-            else:
-                out_terms[key] = val
-        return Polynomial(self.ring, out_terms)
+            key = exp[:i] + (0,) + exp[i + 1 :]
+            terms[key] = terms.get(key, 0) + coeff * value ** exp[i]
+        return Polynomial(self.ring, terms)
 
     def restrict_ring(self, ring: PolynomialRing) -> "Polynomial":
         """Re-express in a smaller/other ring containing every used variable."""
@@ -361,11 +323,13 @@ class Polynomial:
             q_exp = tuple(a - b for a, b in zip(exp, div_exp))
             if any(e < 0 for e in q_exp):
                 raise ExactDivisionError("division left a nonzero remainder")
+            # the remainder's leading term falls at every step, so no
+            # quotient monomial repeats
             q_coeff = coeff / div_coeff
-            quotient[q_exp] = quotient.get(q_exp, Fraction(0)) + q_coeff
+            quotient[q_exp] = q_coeff
             for d_exp, d_coeff in divisor.terms.items():
                 key = tuple(a + b for a, b in zip(q_exp, d_exp))
-                val = remainder.get(key, Fraction(0)) - q_coeff * d_coeff
+                val = remainder.get(key, 0) - q_coeff * d_coeff
                 if val == 0:
                     remainder.pop(key, None)
                 else:
@@ -394,10 +358,7 @@ class Polynomial:
         """Canonical primitive part: content 1, positive leading coefficient."""
         if self.is_zero():
             return self
-        c = self.content()
-        if self.leading_coefficient() < 0:
-            c = -c
-        return self.scale(Fraction(1) / c)
+        return self.scale(1 / _signed_content(self))
 
     # -- rendering ------------------------------------------------------------
 
@@ -447,9 +408,9 @@ def parse_polynomial(ring: PolynomialRing, text: str) -> Polynomial:
     if stripped == "0":
         return ring.zero()
     chunks = [c for c in _TERM_SPLIT.split(stripped) if c]
-    result = ring.zero()
+    terms: dict[tuple[int, ...], Fraction] = {}
     for chunk in chunks:
-        sign = Fraction(1)
+        sign = 1
         while chunk and chunk[0] in "+-":
             if chunk[0] == "-":
                 sign = -sign
@@ -468,22 +429,23 @@ def parse_polynomial(ring: PolynomialRing, text: str) -> Polynomial:
                 name = m.group("var")
                 power = int(m.group("pow") or 1)
                 exp[ring.index(name)] += power
-        result = result + Polynomial(ring, {tuple(exp): coeff})
-    return result
+        key = tuple(exp)
+        terms[key] = terms.get(key, 0) + coeff
+    return Polynomial(ring, terms)
 
 
 # -- gcd -------------------------------------------------------------------------
 
 
 def _from_dense(coeffs: list[Polynomial], main: str, ring: PolynomialRing) -> Polynomial:
-    x = ring.var(main)
-    out = ring.zero()
-    xk = ring.one()
-    for c in coeffs:
-        if not c.is_zero():
-            out = out + c * xk
-        xk = xk * x
-    return out
+    """Inverse of ``coefficients_in``: sum of coeffs[k] * main^k."""
+    i = ring.index(main)
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for k, c in enumerate(coeffs):
+        for exp, coeff in c.terms.items():
+            key = exp[:i] + (exp[i] + k,) + exp[i + 1 :]
+            terms[key] = terms.get(key, 0) + coeff
+    return Polynomial(ring, terms)
 
 
 def _pseudo_remainder(
@@ -587,11 +549,9 @@ class RationalFunction:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
             # normalize: denominator primitive with positive leading coefficient
-            c = den.content()
-            if den.leading_coefficient() < 0:
-                c = -c
-            den = den.scale(Fraction(1) / c)
-            num = num.scale(Fraction(1) / c)
+            inv = 1 / _signed_content(den)
+            den = den.scale(inv)
+            num = num.scale(inv)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

@@ -398,21 +398,20 @@ class _Pipeline:
         ia, ib = self.ring.index(var_a), self.ring.index(var_b)
         current = poly
         for _ in range(16):
-            out = self.ring.zero()
-            hit = False
+            # terms holding the product, with one var_a*var_b taken out
+            lowered: dict[tuple[int, ...], Fraction] = {}
+            rest: dict[tuple[int, ...], Fraction] = {}
             for exp, coeff in current.terms.items():
                 if exp[ia] >= 1 and exp[ib] >= 1:
-                    hit = True
-                    lowered = list(exp)
-                    lowered[ia] -= 1
-                    lowered[ib] -= 1
-                    mono = Polynomial(self.ring, {tuple(lowered): coeff})
-                    out = out + mono * value
+                    key = list(exp)
+                    key[ia] -= 1
+                    key[ib] -= 1
+                    lowered[tuple(key)] = coeff
                 else:
-                    out = out + Polynomial(self.ring, {exp: coeff})
-            current = out
-            if not hit:
+                    rest[exp] = coeff
+            if not lowered:
                 return current
+            current = Polynomial(self.ring, rest) + Polynomial(self.ring, lowered) * value
         self._fail(f"product rewrite {var_a}*{var_b} did not terminate")
 
     def _form_part(self, poly: Polynomial) -> Polynomial:

@@ -28,8 +28,8 @@ def sylvester_matrix(f: Polynomial, g: Polynomial, var: str) -> list[list[Polyno
     ring = f.ring
     zero = ring.zero()
     # descending coefficient lists: [lead, ..., constant]
-    fc = [f.coefficient_of(var, m - i) for i in range(m + 1)]
-    gc = [g.coefficient_of(var, n - i) for i in range(n + 1)]
+    fc = f.coefficients_in(var)[::-1]
+    gc = g.coefficients_in(var)[::-1]
     size = m + n
     rows: list[list[Polynomial]] = []
     for shift in range(n):

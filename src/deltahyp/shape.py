@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
+from .stiefel import tau_of_frame
 
 #: Relative tolerance for accepting a matrix as symmetric.
 SYMMETRY_RTOL = 1e-12
@@ -122,7 +123,4 @@ def restricted_scalar(A: ShapeOperator, frame) -> float:
     gram = F.T @ F
     if float(np.max(np.abs(gram - np.eye(r)))) > ORTHONORMAL_TOL:
         raise GeometryError("frame columns are not orthonormal within tolerance")
-    B = F.T @ A.matrix @ F
-    tr = float(np.trace(B))
-    tr2 = float(np.trace(B @ B))
-    return 0.5 * (tr * tr - tr2)
+    return tau_of_frame(A.matrix, F)

@@ -53,8 +53,6 @@ def minimize_tau(
     r: int,
     restarts: int = 32,
     seed: int = 0,
-    grad_tol: float = GRAD_TOL,
-    max_iters: int = MAX_ITERS,
 ) -> tuple[float, np.ndarray]:
     """Best frame found over independent random restarts.
 
@@ -68,10 +66,10 @@ def minimize_tau(
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
         F = retract_qf(rng.standard_normal((n, r)))
         val = tau_of_frame(A, F)
-        for _ in range(max_iters):
+        for _ in range(MAX_ITERS):
             grad = project_tangent(F, tau_gradient(A, F))
             gnorm = float(np.linalg.norm(grad))
-            if gnorm <= grad_tol:
+            if gnorm <= GRAD_TOL:
                 break
             step = 1.0
             accepted = False

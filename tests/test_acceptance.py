@@ -235,6 +235,7 @@ def test_criterion_05_elimination_verdict():
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_curvature_bound_inequality():
     failures = []
     rng = np.random.default_rng(606_001)
@@ -286,6 +287,7 @@ def test_criterion_07_ideal_pattern_equality():
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_optimizer_agreement_and_gradient():
     failures = []
     rng = np.random.default_rng(808_001)

@@ -185,6 +185,15 @@ MALFORMED_INPUT = {
         None,
         "at least one restart",
     ),
+    **{
+        f"{label}-tol-{argv[0]}": (argv + ["--tol", value], None, "--tol must be finite")
+        for argv in (
+            ["delta", "--r", "2", "--spectrum", "1,2,3", "--no-optimizer"],
+            ["ideal", "--r", "3", "--spectrum", "1,2,3,6", "--no-optimizer"],
+            ["null2", "--spectrum", "0,0,0,0"],
+        )
+        for label, value in (("nan", "nan"), ("infinite", "inf"), ("negative", "-1"))
+    },
 }
 
 
@@ -233,12 +242,14 @@ class TestInputSources:
 
 
 class TestDeterminism:
+    @pytest.mark.slow
     def test_same_invocation_byte_identical(self, capsys):
         argv = ["delta", "--r", "2", "--spectrum", "0.3,1.7,2.9,5.1"]
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
 
+    @pytest.mark.slow
     def test_env_seed_matches_flag(self, capsys, monkeypatch):
         argv = ["delta", "--r", "2", "--spectrum", "0.3,1.7,2.9,5.1"]
         monkeypatch.setenv("DELTAHYP_SEED", "12345")
