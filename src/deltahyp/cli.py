@@ -20,9 +20,8 @@ from .delta import (
     DEFAULT_RESTARTS,
     DEFAULT_SEED,
     DEFAULT_TOL,
-    chen_bound,
     delta_from_spectrum,
-    delta_invariant,
+    delta_invariant,  # unused here; bench/tracer.py wraps cli.delta_invariant
     detect_ideal_pattern,
     ideality_gap,
     null2type_check,
@@ -35,6 +34,7 @@ from .replay import VERDICT_CONSTANT, replay_all
 from .shape import ShapeOperator, curvature_report
 from .surfaces import (
     CATALOG_KINDS,
+    MAX_DIMENSION,
     ImmersionGrid,
     catalog_shape_operator,
     load_case,
@@ -155,8 +155,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_spectrum(text: str) -> list[Fraction]:
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if len(parts) > MAX_DIMENSION:
+        raise ConfigError(
+            f"spectrum must have at most {MAX_DIMENSION} values, got {len(parts)}"
+        )
     try:
-        values = [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+        values = [Fraction(part) for part in parts]
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot parse spectrum {text!r}: {exc}") from None
     if len(values) < 2:
@@ -274,28 +279,29 @@ def _resolve_seed(args) -> int:
     return args.seed if args.seed is not None else _default_seed()
 
 
-def _cmd_delta(args) -> int:
-    operator, exact = _operator_from_args(args)
-    seed = _resolve_seed(args)
-    result = delta_invariant(
+def _ideality_gap(args, operator: ShapeOperator) -> dict:
+    return ideality_gap(
         operator,
         args.r,
         restarts=args.restarts,
-        seed=seed,
+        seed=_resolve_seed(args),
         tol=args.tol,
         use_optimizer=not args.no_optimizer,
     )
-    spectrum_block = _spectrum_block(operator)
-    bound = float(chen_bound(operator.n, args.r, spectrum_block["H"]))
-    gap = bound - result.delta
+
+
+def _cmd_delta(args) -> int:
+    operator, exact = _operator_from_args(args)
+    outcome = _ideality_gap(args, operator)
+    result = outcome["result"]
     payload = {
         "n": operator.n,
         "r": args.r,
-        "spectrum": spectrum_block,
+        "spectrum": _spectrum_block(operator),
         "delta": result.to_json_dict(),
-        "chen_bound": bound,
-        "gap": gap,
-        "ideal": bool(abs(gap) <= args.tol),
+        "chen_bound": outcome["bound"],
+        "gap": outcome["gap"],
+        "ideal": outcome["ideal"],
     }
     if exact is not None:
         exact_delta, exact_inf, witness = delta_from_spectrum(exact, args.r)
@@ -308,7 +314,7 @@ def _cmd_delta(args) -> int:
     lines = [
         f"delta({args.r}) = {result.delta:.12g}   (inf tau_L = {result.inf_tau_L:.12g}, "
         f"method {result.method})",
-        f"chen bound = {bound:.12g}, gap = {gap:.12g}, ideal = "
+        f"chen bound = {outcome['bound']:.12g}, gap = {outcome['gap']:.12g}, ideal = "
         + ("true" if payload["ideal"] else "false"),
     ]
     _emit(args, payload, lines)
@@ -317,15 +323,7 @@ def _cmd_delta(args) -> int:
 
 def _cmd_ideal(args) -> int:
     operator, _ = _operator_from_args(args)
-    seed = _resolve_seed(args)
-    outcome = ideality_gap(
-        operator,
-        args.r,
-        restarts=args.restarts,
-        seed=seed,
-        tol=args.tol,
-        use_optimizer=not args.no_optimizer,
-    )
+    outcome = _ideality_gap(args, operator)
     pattern = detect_ideal_pattern(operator, tol=args.tol)
     payload = {
         "n": operator.n,

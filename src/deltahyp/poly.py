@@ -100,8 +100,9 @@ class Polynomial:
         for exp, coeff in terms.items():
             if len(exp) != width:
                 raise ValueError(f"exponent vector {exp} does not fit ring {ring.vars}")
-            coeff = Fraction(coeff)
-            if coeff != 0:
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            if coeff:
                 clean[tuple(exp)] = coeff
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)
@@ -234,16 +235,19 @@ class Polynomial:
     def leading_coefficient(self) -> Fraction:
         return self.leading()[1]
 
-    def coefficient_of(self, var: str, power: int) -> "Polynomial":
-        """Collect terms with the given power of ``var`` (that slot zeroed)."""
-        i = self.ring.index(var)
-        out = {}
-        for exp, coeff in self.terms.items():
-            if exp[i] == power:
-                reduced = list(exp)
-                reduced[i] = 0
-                out[tuple(reduced)] = coeff
-        return Polynomial(self.ring, out)
+    def coefficient(self, powers: Mapping[str, int]) -> Fraction:
+        """Coefficient of the monomial with the given variable powers; 0 if absent."""
+        exp = [0] * len(self.ring.vars)
+        for var, power in powers.items():
+            exp[self.ring.index(var)] = power
+        return self.terms.get(tuple(exp), Fraction(0))
+
+    def support(self, variables: Sequence[str] | None = None) -> set[tuple[int, ...]]:
+        """Exponent vectors of the terms, cut down to ``variables`` when given."""
+        if variables is None:
+            return set(self.terms)
+        slots = [self.ring.index(var) for var in variables]
+        return {tuple(exp[i] for i in slots) for exp in self.terms}
 
     def coefficients_in(self, var: str) -> list["Polynomial"]:
         """Dense coefficient list [c_0, ..., c_d] viewing self in ``var``."""
@@ -252,6 +256,36 @@ class Polynomial:
         for exp, coeff in self.terms.items():
             dense[exp[i]][exp[:i] + (0,) + exp[i + 1 :]] = coeff
         return [Polynomial(self.ring, terms) for terms in dense]
+
+    def rewrite_product(self, var_a: str, var_b: str, value: "Polynomial") -> "Polynomial":
+        """Replace every occurrence of the product ``var_a*var_b`` by ``value``.
+
+        Every term of ``value`` must have joint degree at most one in the two
+        variables.  Each pass then lowers the joint degree of every term that
+        still holds the product, so the rewrite ends.
+        """
+        self._check(value)
+        ia, ib = self.ring.index(var_a), self.ring.index(var_b)
+        if any(exp[ia] + exp[ib] > 1 for exp in value.terms):
+            raise DegreeError(
+                f"replacement for {var_a}*{var_b} has joint degree above one: "
+                f"{value.render()}"
+            )
+        current = self
+        while True:
+            # terms holding the product, with one var_a*var_b taken out
+            lowered, rest = {}, {}
+            for exp, coeff in current.terms.items():
+                if exp[ia] and exp[ib]:
+                    key = list(exp)
+                    key[ia] -= 1
+                    key[ib] -= 1
+                    lowered[tuple(key)] = coeff
+                else:
+                    rest[exp] = coeff
+            if not lowered:
+                return current
+            current = Polynomial(self.ring, rest) + Polynomial(self.ring, lowered) * value
 
     # -- calculus / evaluation ----------------------------------------------
 

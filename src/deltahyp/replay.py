@@ -236,17 +236,13 @@ class _BranchState:
     """Per-branch intermediates (sign = +1 replayed, -1 first-principles)."""
 
     sign: int
-    master_first_unreduced: Polynomial = None
     master_first: Polynomial = None
-    master_second: Polynomial = None
-    master_third: Polynomial = None
     X: Polynomial = None  # value of (w212 + w313) * E
     Y: Polynomial = None  # value of w414 * E
     S: Polynomial = None  # value of E^2
     Q: Polynomial = None  # value of w212 * w313
     L: Polynomial = None
     M: Polynomial = None
-    N: Polynomial = None
     curve9: Polynomial = None
     curve12: Polynomial = None
     final_resultant: Polynomial = None
@@ -343,7 +339,8 @@ class _Pipeline:
         except ExactDivisionError as exc:
             self._fail(f"{what}: {exc}")
 
-    def _add_side_condition(self, expr: Polynomial, origin: str) -> None:
+    def _add_side_condition(self, expr: Polynomial, origin: str) -> SideCondition:
+        """Record a cleared denominator; return its ledger entry."""
         prim = expr.primitive()
         if not any(prim == allowed for allowed in self._allowed_conditions):
             self._fail(
@@ -352,8 +349,9 @@ class _Pipeline:
             )
         for sc in self.side_conditions:
             if sc.origin == origin and sc.expr == prim:
-                return
+                return sc
         self.side_conditions.append(SideCondition(prim, origin))
+        return self.side_conditions[-1]
 
     def _checkpoint_compare(
         self,
@@ -377,10 +375,12 @@ class _Pipeline:
     @staticmethod
     def _describe_mismatch(dp: Polynomial, ep: Polynomial) -> str:
         diff = dp - ep
-        agree = [m for m in dp.terms if m in ep.terms and dp.terms[m] == ep.terms[m]]
+        reference = ep.support()
+        # a reference term agrees exactly when the difference lacks its monomial
+        agree = reference - diff.support()
         return (
             "derived relation does not reproduce the reference coefficient table; "
-            f"{len(agree)} of {len(ep.terms)} reference terms agree, "
+            f"{len(agree)} of {len(reference)} reference terms agree, "
             f"difference (primitive comparison) = {diff.render()}"
         )
 
@@ -388,31 +388,6 @@ class _Pipeline:
         if not ok:
             self._fail(f"checkpoint {tag}: structural requirement failed: {why}")
         self.checkpoints.append(Checkpoint(tag, STRUCTURAL, derived, None, why))
-
-    # -- small rewriting helpers ----------------------------------------------
-
-    def _rewrite_product(
-        self, poly: Polynomial, var_a: str, var_b: str, value: Polynomial
-    ) -> Polynomial:
-        """Replace each occurrence of the product var_a*var_b by `value`."""
-        ia, ib = self.ring.index(var_a), self.ring.index(var_b)
-        current = poly
-        for _ in range(16):
-            # terms holding the product, with one var_a*var_b taken out
-            lowered: dict[tuple[int, ...], Fraction] = {}
-            rest: dict[tuple[int, ...], Fraction] = {}
-            for exp, coeff in current.terms.items():
-                if exp[ia] >= 1 and exp[ib] >= 1:
-                    key = list(exp)
-                    key[ia] -= 1
-                    key[ib] -= 1
-                    lowered[tuple(key)] = coeff
-                else:
-                    rest[exp] = coeff
-            if not lowered:
-                return current
-            current = Polynomial(self.ring, rest) + Polynomial(self.ring, lowered) * value
-        self._fail(f"product rewrite {var_a}*{var_b} did not terminate")
 
     def _form_part(self, poly: Polynomial) -> Polynomial:
         """Assert the remainder uses only H, beta, a and return it."""
@@ -619,13 +594,13 @@ class _Pipeline:
         )
         self._add_side_condition(self.p, "3.20")
         self._add_side_condition(self.q, "3.20")
-        self._add_side_condition(self.q, "3.21")
+        q_pair = [self._add_side_condition(self.q, "3.21")]
         elim = self._exact_div(
             resultant(rel_a, rel_b, "X"),
             q_local,
             "pair-branch eliminant not divisible by its cleared factor",
         )
-        self._add_side_condition(self.q, "3.22")
+        q_pair.append(self._add_side_condition(self.q, "3.22"))
         pattern = H * (2 * beta - c2 * H) ** 2
         unit_poly = self._exact_div(
             elim, pattern, "pair-branch eliminant does not match the reference pattern"
@@ -642,10 +617,7 @@ class _Pipeline:
             eliminant=elim.render(),
             pattern=pattern.render(),
             unit=unit_pair,
-            side_conditions=[
-                SideCondition(self.q.primitive(), "3.21"),
-                SideCondition(self.q.primitive(), "3.22"),
-            ],
+            side_conditions=q_pair,
         )
         self.checkpoints.append(
             Checkpoint(
@@ -693,12 +665,13 @@ class _Pipeline:
                 f"tail-branch derivative kept a denominator: {derived_tail.render()}"
             )
         tail_poly = derived_tail.as_polynomial()
-        coeff = tail_poly.coefficient_of("ekb", 1)
-        if coeff * ekb != tail_poly:
+        coeffs = tail_poly.coefficients_in("ekb")
+        if len(coeffs) != 2 or not coeffs[0].is_zero():
             self._fail(
                 "tail-branch derivative is not homogeneous of degree one in "
                 "the differentiated slot"
             )
+        coeff = coeffs[1]
         unit_tail_poly = self._exact_div(
             coeff, self.H, "tail-branch coefficient not a multiple of H"
         )
@@ -708,18 +681,17 @@ class _Pipeline:
                 f"{unit_tail_poly.render()}"
             )
         unit_tail = unit_tail_poly.leading_coefficient()
-        self._add_side_condition(A_den, "3.22")
-        self._add_side_condition(B_den, "3.23")
+        tail_conditions = [
+            self._add_side_condition(A_den, "3.22"),
+            self._add_side_condition(B_den, "3.23"),
+        ]
         self._add_side_condition(self.c2 * self.H, "3.22")
         tail_cert = EliminantCertificate(
             label="tail-directions",
             eliminant=coeff.render(),
             pattern=self.H.render(),
             unit=unit_tail,
-            side_conditions=[
-                SideCondition(A_den.primitive(), "3.22"),
-                SideCondition(B_den.primitive(), "3.23"),
-            ],
+            side_conditions=tail_conditions,
         )
         self.checkpoints.append(
             Checkpoint(
@@ -744,25 +716,23 @@ class _Pipeline:
         rel49 = p * u + q * v - c2 * E
         rel50 = c2 * (H * w) + (c1 + c2) * E
 
-        for state in self.branches.values():
+        unreduced_first = {}
+        for label, state in self.branches.items():
             # combined second-order relation with the cross term eliminated
             R = Ds.of_poly_strict(p * u) + Ds.of_poly_strict(q * v) - c2 * EE
             R = R - v * rel49
             R = R + 2 * ((u + v) * rel49)
             # replace the quotient product by this branch's resolved form
             uv_value = Fraction(state.sign) * ((n - 3) * (w * (u + v)) + K)
-            R = self._rewrite_product(R, "w212", "w313", uv_value)
+            R = R.rewrite_product("w212", "w313", uv_value)
             # clear the lone quotient against the mean-curvature flow relation
             hw_value = (-(c1 + c2) / c2) * E
-            R = self._rewrite_product(R, "H", "w414", hw_value)
-            master_first_unreduced = R.scale(-c2)
-            state.master_first_unreduced = master_first_unreduced
-            coeff_ee = master_first_unreduced.terms.get(
-                self._exp_of({"EE": 1}), Fraction(0)
-            )
+            R = R.rewrite_product("H", "w414", hw_value)
+            unreduced_first[label] = R.scale(-c2)
+            coeff_ee = unreduced_first[label].coefficient({"EE": 1})
             if coeff_ee == 0:
                 self._fail("first master equation lost its second-order term")
-            state.master_first = master_first_unreduced.scale(1 / coeff_ee)
+            state.master_first = unreduced_first[label].scale(1 / coeff_ee)
 
         # second master equation: flow derivative of the mean-curvature relation
         rel48 = Ds.of_poly_strict(rel50) - w * rel50
@@ -779,13 +749,10 @@ class _Pipeline:
             + 2 * (H * beta**2)
             - self.a_poly * H
         )
-        for state in self.branches.values():
-            state.master_second = master_second
-            state.master_third = master_third
 
         replayed = self.branches[BRANCH_REPLAYED]
         self._checkpoint_compare(
-            "3.51", replayed.master_first_unreduced, ref.master_A_unreduced(self.alg)
+            "3.51", unreduced_first[BRANCH_REPLAYED], ref.master_A_unreduced(self.alg)
         )
         self._checkpoint_compare(
             "3.52", master_second_unreduced, ref.master_B_unreduced(self.alg)
@@ -812,7 +779,7 @@ class _Pipeline:
             + fp_first.render()
         )
         return MasterEquations(
-            unreduced_first=replayed.master_first_unreduced,
+            unreduced_first=unreduced_first[BRANCH_REPLAYED],
             unreduced_second=master_second_unreduced,
             first=replayed.master_first,
             second=master_second,
@@ -820,22 +787,17 @@ class _Pipeline:
             checkpoints=cps,
         )
 
-    def _exp_of(self, powers: dict[str, int]) -> tuple:
-        exp = [0] * len(self.ring.vars)
-        for name, k in powers.items():
-            exp[self.ring.index(name)] = k
-        return tuple(exp)
-
     # -- stage: first integrals ----------------------------------------------------
 
     def first_integrals(self) -> FirstIntegrals:
         n, c1, c2 = self.n, self.c1, self.c2
         H, E = self.H, self.E
         u, v, w = self.u, self.v, self.w
+        masters = self.run("masters")
 
         for state in self.branches.values():
-            i1 = state.master_second - state.master_first
-            i2 = state.master_second + state.master_third
+            i1 = masters.second - state.master_first
+            i2 = masters.second + masters.third
             a11, b11, f1 = self._split_linear(i1)
             a21, b21, f2 = self._split_linear(i2)
             det = a11 * b21 - b11 * a21
@@ -877,12 +839,10 @@ class _Pipeline:
                 "first-integral reference tables disagree with the derived solve: "
                 f"the tabulated cubic prefactor {kap_ref} re-parenthesizes to "
                 f"{kap_fix}, which is the actual determinant of the linear solve; "
-                "in addition the tabulated relations mix coefficient slots from "
-                "the two sign branches of the quotient-product relation, one "
-                "tabulated leading-cubic slot is isolatedly off, and the squared "
-                "relation inherits these shifts.  The derived relations are used "
-                "downstream; the elimination outcome is unaffected (verified for "
-                "both sign branches)."
+                "the other slots that differ are listed in the README erratum list "
+                "(First integrals).  The derived relations are used downstream; "
+                "the elimination outcome is unaffected (verified for both sign "
+                "branches)."
             )
         return FirstIntegrals(
             sum_quotient=pair_sum,
@@ -895,11 +855,10 @@ class _Pipeline:
     def _split_linear(self, poly: Polynomial):
         """Write poly = aX*(u+v)*E + aY*w*E + form; return (aX, aY, form)."""
         E, u, v, w = self.E, self.u, self.v, self.w
-        aX = poly.terms.get(self._exp_of({"w212": 1, "E": 1}), Fraction(0))
-        aX2 = poly.terms.get(self._exp_of({"w313": 1, "E": 1}), Fraction(0))
-        if aX != aX2:
+        aX = poly.coefficient({"w212": 1, "E": 1})
+        if aX != poly.coefficient({"w313": 1, "E": 1}):
             self._fail("flow-term relation is not symmetric in the paired quotients")
-        aY = poly.terms.get(self._exp_of({"w414": 1, "E": 1}), Fraction(0))
+        aY = poly.coefficient({"w414": 1, "E": 1})
         form = poly - aX * ((u + v) * E) - aY * (w * E)
         return aX, aY, self._form_part(form)
 
@@ -910,7 +869,8 @@ class _Pipeline:
         H = self.H
         p, q = self.p, self.q
 
-        for state in self.branches.values():
+        N = {}
+        for label, state in self.branches.items():
             # flow derivative of (E^2 - S) along the tangency locus
             G = state.Y.scale(Fraction(-(n + 2))) + (
                 Fraction(-(n**3), 2 * (n - 2)) * H**3
@@ -921,18 +881,18 @@ class _Pipeline:
             phi1 = phi2 - dS_b.scale(c2)
             L = p * phi1
             M = q * phi2
-            N = state.X.scale(c2)
+            N[label] = state.X.scale(c2)
             # internal identity: the antisymmetric combination collapses
             if (p * M - q * L) != ((p * q) * dS_b).scale(c2):
                 self._fail(
                     "antisymmetric combination of the linear forms failed its "
                     "closed form"
                 )
-            curve_raw = state.Q * ((M - L) * (p * M - q * L)) + N * (L * M)
+            curve_raw = state.Q * ((M - L) * (p * M - q * L)) + N[label] * (L * M)
             bracket = self._exact_div(
                 curve_raw, p * q, "tangency curve did not factor through the cleared pair"
             )
-            state.L, state.M, state.N = L, M, N
+            state.L, state.M = L, M
             state.curve9 = self._form_part(bracket).primitive()
         self._add_side_condition(self.E, "3.61")
         self._add_side_condition(p, "3.63")
@@ -942,7 +902,8 @@ class _Pipeline:
         for tag, poly_, template, what in (
             ("3.61-L", rep.L, ref.TEMPLATE_LINEAR_FORM, "first linear coefficient"),
             ("3.61-M", rep.M, ref.TEMPLATE_LINEAR_FORM, "second linear coefficient"),
-            ("3.62-N", rep.N, ref.TEMPLATE_CUBIC_FORM, "product-side cubic form"),
+            ("3.62-N", N[BRANCH_REPLAYED], ref.TEMPLATE_CUBIC_FORM,
+             "product-side cubic form"),
         ):
             ok = self._support_ok(poly_, template) and not poly_.is_zero()
             self._structural_checkpoint(
@@ -960,14 +921,7 @@ class _Pipeline:
             "tangency curve has exact joint degree 9 with support inside the "
             "odd-strata template",
         )
-        return (rep.L, rep.M, rep.N, rep.curve9)
-
-    def _hba_support(self, poly: Polynomial) -> set[tuple[int, int, int]]:
-        self._form_part(poly)
-        iH = self.ring.index("H")
-        ib = self.ring.index("beta")
-        ia = self.ring.index("a")
-        return {(exp[iH], exp[ib], exp[ia]) for exp in poly.terms}
+        return (rep.L, rep.M, N[BRANCH_REPLAYED], rep.curve9)
 
     def _support_ok(self, poly: Polynomial, template: frozenset) -> bool:
         """Check the (H, beta, a)-support against a reference template.
@@ -976,17 +930,17 @@ class _Pipeline:
         because every template is weight-homogeneous (a counting twice), the
         folded exponent lifts back uniquely, so membership remains decidable.
         """
-        support = self._hba_support(poly)
+        support = self._form_part(poly).support(_CURVE_RING.vars)
         if self.cfg.a_mode == "symbolic":
             return support <= set(template)
         return all(
             any(i == ti and j == tj for (ti, tj, _) in template) for (i, j, _) in support
         )
 
-    def _hb_degree(self, poly: Polynomial) -> int:
-        iH = self.ring.index("H")
-        ib = self.ring.index("beta")
-        return max((exp[iH] + exp[ib] for exp in poly.terms), default=-1)
+    @staticmethod
+    def _hb_degree(poly: Polynomial) -> int:
+        """Joint degree in (H, beta); -1 for the zero polynomial."""
+        return max((i + j for i, j in poly.support(("H", "beta"))), default=-1)
 
     # -- stage: prolonged curve ---------------------------------------------------------
 
@@ -1025,7 +979,7 @@ class _Pipeline:
 
         rep = self.branches[BRANCH_REPLAYED]
         res = rep.final_resultant
-        parity = {exp[_CURVE_RING.index("H")] % 2 for exp in res.terms}
+        parity = {h % 2 for (h,) in res.support(("H",))}
         if len(parity) > 1:
             self._fail("final resultant mixes H-parities")
         self._consistency_spotcheck(rep)
@@ -1159,7 +1113,7 @@ def eliminate_beta(cfg: ReplayConfig) -> EliminationReport:
 
     The elimination depends on every other stage, so this is the full replay.
     """
-    return _Pipeline(cfg).run("eliminate")
+    return replay_all(cfg)
 
 
 def replay_all(cfg: ReplayConfig) -> EliminationReport:

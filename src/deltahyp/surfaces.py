@@ -17,6 +17,11 @@ from .shape import SYMMETRY_RTOL, ShapeOperator
 #: treated as degenerate.
 METRIC_COND_LIMIT = 1e8
 
+#: Largest operator dimension any input may ask for: a spec's ``n``, the size
+#: of a matrix document and the number of ``--spectrum`` values.  Operators
+#: are dense n x n arrays, so larger inputs are refused before one is built.
+MAX_DIMENSION = 1024
+
 #: Catalog kind -> (required fields, optional fields) of a surface spec,
 #: besides ``kind``.  Spec files, ``catalog --kind`` flags and ``SurfaceSpec``
 #: all read this one table.
@@ -52,8 +57,8 @@ class SurfaceSpec:
                 raise GeometryError(
                     f"field {name!r} does not apply to kind {self.kind!r}"
                 )
-        if self.n < 2:
-            raise GeometryError(f"dimension must be >= 2, got {self.n}")
+        if not 2 <= self.n <= MAX_DIMENSION:
+            raise GeometryError(f"dimension must satisfy 2 <= n <= {MAX_DIMENSION}, got {self.n}")
         if self.p is not None and not 1 <= self.p <= self.n - 1:
             raise GeometryError(
                 f"spherical cylinder needs 1 <= p <= n-1, got p={self.p}, n={self.n}"
@@ -280,6 +285,11 @@ def _expect_matrix(data: dict, key: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise SchemaError(f"field {key!r} must be a nonempty matrix", positions=[f"$.{key}"])
     size = len(rows)
+    if size > MAX_DIMENSION:
+        raise SchemaError(
+            f"{key} must have at most {MAX_DIMENSION} rows, got {size}",
+            positions=[f"$.{key}"],
+        )
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != size:
             raise SchemaError(

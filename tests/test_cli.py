@@ -7,6 +7,7 @@ import pytest
 
 from deltahyp import reference_forms
 from deltahyp.cli import main
+from deltahyp.surfaces import MAX_DIMENSION
 
 
 def run(capsys, *argv):
@@ -194,6 +195,27 @@ MALFORMED_INPUT = {
         )
         for label, value in (("nan", "nan"), ("infinite", "inf"), ("negative", "-1"))
     },
+    # one past the dimension cap: refused before any n x n array is built
+    "oversized-hyperplane": (
+        ["catalog", "--kind", "hyperplane", "--n", str(MAX_DIMENSION + 1)],
+        None,
+        f"n <= {MAX_DIMENSION}",
+    ),
+    "oversized-round-sphere": (
+        ["catalog", "--kind", "round-sphere", "--n", str(MAX_DIMENSION + 1), "--radius", "1"],
+        None,
+        f"n <= {MAX_DIMENSION}",
+    ),
+    "oversized-spectrum": (
+        ["delta", "--r", "2", "--spectrum", ",".join(["1"] * (MAX_DIMENSION + 1))],
+        None,
+        f"at most {MAX_DIMENSION}",
+    ),
+    "oversized-matrix": (
+        ["null2", "--matrix", "{doc}"],
+        {"matrix": [[0]] * (MAX_DIMENSION + 1)},
+        f"at most {MAX_DIMENSION} rows",
+    ),
 }
 
 

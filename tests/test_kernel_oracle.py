@@ -2,7 +2,9 @@
 
 Hypothesis draws sparse polynomials over Q[x, y, z]; every ring operation,
 the gcd and the resultant must agree with sympy's, term for term (the gcd up
-to a nonzero rational, the resultant up to a nonzero rational).  Every result
+to a nonzero rational, the resultant up to a nonzero rational).  So must the
+term accessors (one monomial's coefficient, the support cut down to some
+variables), and the product rewrite must stay in its coset of the ideal.  Every result
 is also checked to store no zero coefficient, the invariant the constructor
 keeps for all operations.  The replay's final resultants for n = 4..8 are
 checked against sympy's resultant of the same two curves.
@@ -17,7 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from deltahyp import Polynomial, PolynomialRing, ReplayConfig, poly_gcd, replay_all  # noqa: E402
-from deltahyp.errors import ExactDivisionError  # noqa: E402
+from deltahyp.errors import DegreeError, ExactDivisionError  # noqa: E402
 from deltahyp.resultant import resultant  # noqa: E402
 
 RING = PolynomialRing(("x", "y", "z"))
@@ -113,6 +115,62 @@ def test_coefficients_in(f, var):
     expr = to_sympy(f).as_expr()
     for k, c in enumerate(coeffs):
         assert_matches(c, poly_of(expr.coeff(sympy.Symbol(var), k)))
+
+
+@SETTINGS
+@given(polynomials(), st.dictionaries(VARS, st.integers(0, 3)))
+def test_coefficient(f, powers):
+    monomial = tuple(powers.get(var, 0) for var in RING.vars)
+    expected = to_sympy(f).coeff_monomial(monomial)
+    assert f.coefficient(powers) == Fraction(int(expected.p), int(expected.q))
+
+
+@SETTINGS
+@given(polynomials(), st.lists(VARS, min_size=1, max_size=3, unique=True))
+def test_support(f, variables):
+    assert f.support() == set(to_sympy(f).as_dict())
+    # viewed as a polynomial in ``variables`` alone, sympy's monomials are the cut
+    cut = sympy.Poly(to_sympy(f).as_expr(), *sympy.symbols(variables))
+    assert f.support(variables) == set(cut.as_dict())
+
+
+def product_values(var_a, var_b):
+    """Polynomials whose every term has joint degree at most one in the pair."""
+    ia, ib = RING.index(var_a), RING.index(var_b)
+    return polynomials(max_terms=3).map(
+        lambda p: Polynomial(
+            RING, {e: c for e, c in p.terms.items() if e[ia] + e[ib] <= 1}
+        )
+    )
+
+
+PAIRS = st.permutations(RING.vars).map(lambda order: order[:2])
+
+
+@SETTINGS
+@given(polynomials(), PAIRS, st.data())
+def test_rewrite_product(f, pair, data):
+    var_a, var_b = pair
+    value = data.draw(product_values(var_a, var_b))
+    out = f.rewrite_product(var_a, var_b, value)
+    a, b = sympy.symbols(pair)
+    oracle = to_sympy(out)
+    assert all(
+        not (exp[RING.index(var_a)] and exp[RING.index(var_b)]) for exp in oracle.monoms()
+    )
+    relation = poly_of(a * b - to_sympy(value).as_expr())
+    _, remainder = sympy.div(to_sympy(f) - oracle, relation)
+    assert remainder.is_zero
+
+
+@SETTINGS
+@given(polynomials(), PAIRS, polynomials(max_terms=3))
+def test_rewrite_product_rejects_a_replacement_holding_the_pair(f, pair, value):
+    var_a, var_b = pair
+    ia, ib = RING.index(var_a), RING.index(var_b)
+    assume(any(e[ia] + e[ib] > 1 for e in value.support()))
+    with pytest.raises(DegreeError):
+        f.rewrite_product(var_a, var_b, value)
 
 
 @SETTINGS
