@@ -231,11 +231,6 @@ def _keep_partial_report(args, report) -> None:
             print(f"error: cannot write the partial report: {exc}", file=sys.stderr)
 
 
-def _spectrum_block(operator: ShapeOperator) -> dict:
-    report = curvature_report(operator)
-    return report.to_json_dict()
-
-
 # -- subcommands ------------------------------------------------------------------------
 
 
@@ -297,7 +292,7 @@ def _cmd_delta(args) -> int:
     payload = {
         "n": operator.n,
         "r": args.r,
-        "spectrum": _spectrum_block(operator),
+        "spectrum": result.spectrum.to_json_dict(),
         "delta": result.to_json_dict(),
         "chen_bound": outcome["bound"],
         "gap": outcome["gap"],
@@ -368,7 +363,7 @@ def _cmd_catalog(args) -> int:
     payload = {
         "spec": spec_payload,
         "operator": operator.to_json_dict(),
-        "spectrum": _spectrum_block(operator),
+        "spectrum": curvature_report(operator).to_json_dict(),
     }
     eig = ", ".join(f"{x:.12g}" for x in payload["spectrum"]["principal_curvatures"])
     lines = [f"principal curvatures: {eig}", f"H = {payload['spectrum']['H']:.12g}"]

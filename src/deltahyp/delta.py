@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Union
@@ -32,6 +32,8 @@ class DeltaResult:
     tau: float
     combinatorial_inf: float
     optimizer_inf: Optional[float]
+    # the operator's curvature report, for callers; not part of the JSON form
+    spectrum: SpectrumReport = field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         if isinstance(self.witness, tuple):
@@ -170,6 +172,7 @@ def delta_invariant(
         tau=report.tau,
         combinatorial_inf=comb_value,
         optimizer_inf=opt_value,
+        spectrum=report,
     )
 
 
@@ -194,8 +197,7 @@ def ideality_gap(
     result = delta_invariant(
         A, r, restarts=restarts, seed=seed, tol=tol, use_optimizer=use_optimizer
     )
-    report = curvature_report(A)
-    bound = float(chen_bound(A.n, r, report.H))
+    bound = float(chen_bound(A.n, r, result.spectrum.H))
     gap = bound - result.delta
     return {
         "r": r,

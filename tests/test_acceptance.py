@@ -287,7 +287,6 @@ def test_criterion_07_ideal_pattern_equality():
     )
 
 
-@pytest.mark.slow
 def test_criterion_08_optimizer_agreement_and_gradient():
     failures = []
     rng = np.random.default_rng(808_001)

@@ -264,14 +264,12 @@ class TestInputSources:
 
 
 class TestDeterminism:
-    @pytest.mark.slow
     def test_same_invocation_byte_identical(self, capsys):
         argv = ["delta", "--r", "2", "--spectrum", "0.3,1.7,2.9,5.1"]
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
 
-    @pytest.mark.slow
     def test_env_seed_matches_flag(self, capsys, monkeypatch):
         argv = ["delta", "--r", "2", "--spectrum", "0.3,1.7,2.9,5.1"]
         monkeypatch.setenv("DELTAHYP_SEED", "12345")

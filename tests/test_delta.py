@@ -92,7 +92,6 @@ class TestDeltaInvariant:
         assert result.witness == (0, 1, 2)
         assert result.method == "both-agree"
 
-    @pytest.mark.slow
     def test_worked_example_r2(self):
         A = ShapeOperator(np.diag([1.0, 2.0, 3.0, 6.0]))
         result = delta_invariant(A, 2)
@@ -105,7 +104,6 @@ class TestDeltaInvariant:
         assert result.method == "combinatorial"
         assert result.optimizer_inf is None
 
-    @pytest.mark.slow
     def test_optimizer_never_beaten_by_eigen_subsets(self):
         # the optimizer searches all frames, so it can only go lower
         rng = np.random.default_rng(1234)
