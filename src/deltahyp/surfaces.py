@@ -266,31 +266,16 @@ def _list_of(check):
     return lambda value: isinstance(value, list) and all(map(check, value))
 
 
-def _is_finite_number_list(value) -> bool:
-    """``_list_of(_is_finite_number)``, screened with one NumPy conversion.
-
-    The screen accepts a list of plain ints and floats that converts to
-    finite floats; only a list it does not accept is walked value by value.
-    """
-    if isinstance(value, list) and set(map(type, value)) <= {int, float}:
-        try:
-            if np.isfinite(np.asarray(value, dtype=float)).all():
-                return True
-        except OverflowError:  # an integer beyond the float range
-            pass
-    return _list_of(_is_finite_number)(value)
-
-
 #: Field -> (type check, what the field must be), for every scalar and list
 #: field of the spec and grid documents; matrices go through ``_expect_matrix``.
 _FIELD_TYPES = {
     "n": (_is_int, "an integer"),
     "p": (_is_int, "an integer"),
     "radius": (_is_finite_number, "a finite number"),
-    "h": (_is_finite_number_list, "a list of finite numbers"),
+    "h": (_list_of(_is_finite_number), "a list of finite numbers"),
     "base": (_list_of(_is_int), "a list of integers"),
     "shape": (_list_of(_is_int), "a list of integers"),
-    "points": (_is_finite_number_list, "a list of finite numbers"),
+    "points": (_list_of(_is_finite_number), "a list of finite numbers"),
 }
 
 
