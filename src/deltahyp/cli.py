@@ -25,7 +25,6 @@ from .delta import (
     detect_ideal_pattern,
     ideality_gap,
     null2type_check,
-    tau_from_spectrum,
 )
 from .derivation import ReplayConfig
 from .errors import CheckpointFailure, ConfigError, DeltahypError
@@ -301,7 +300,7 @@ def _cmd_delta(args) -> int:
     if exact is not None:
         exact_delta, exact_inf, witness = delta_from_spectrum(exact, args.r)
         payload["exact"] = {
-            "tau": str(tau_from_spectrum(exact)),
+            "tau": str(exact_delta + exact_inf),
             "delta": str(exact_delta),
             "inf_tau_L": str(exact_inf),
             "witness": list(witness),

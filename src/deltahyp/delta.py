@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -98,22 +100,97 @@ def tau_from_spectrum(spectrum: list[Number]) -> Number:
     return total
 
 
-def combinatorial_inf(spectrum: list[Number], r: int) -> tuple[Number, tuple[int, ...]]:
-    """Minimum of the restricted pair sum over all r-subsets of directions.
+def _least_doubled_pair_sum(pool: list[int], q: int, total: int, twice: int) -> int:
+    """Least 2 e2(P + T) over the q-subsets T of the sorted ``pool``.
 
-    Ties break toward the lexicographically first subset of the (sorted-input)
-    index range, so witnesses are reproducible.
+    P is a fixed prefix with sum ``total`` and doubled pair sum ``twice``;
+    2 e2(P + T) = twice + 2 total S + S^2 - Q, with S and Q the sum and the
+    sum of squares of T.  Only the q + 1 end sets of the pool are tried (see
+    ``combinatorial_inf``): starting from the q largest values, step j swaps
+    the j-th smallest in for the j-th of those, keeping S and Q as running
+    sums.
+    """
+    high = pool[len(pool) - q:]
+    s, sq = sum(high), sum(y * y for y in high)
+    best = s * (2 * total + s) - sq
+    for x, y in zip(pool, high):
+        s, sq = s + x - y, sq + x * x - y * y
+        best = min(best, s * (2 * total + s) - sq)
+    return twice + best
+
+
+def combinatorial_inf(spectrum: list[Number], r: int) -> tuple[Number, tuple[int, ...]]:
+    """Minimum of the restricted pair sum e2 over all r-subsets of directions.
+
+    Returns the value and its witness, the lexicographically first r-subset
+    of indices (in input order) that attains the minimum.  The value is
+    ``tau_from_spectrum`` of the witness's own entries: exact for int and
+    Fraction input; for floats it is the float pair sum of that subset.
+
+    The search runs in exact integers for every input type: the values are
+    put over one common denominator (a float's ``as_integer_ratio`` is
+    exact, so float input is searched as the rationals it stores) and the
+    comparisons use 2 e2 of the numerators.  Ties are exact ties.
+
+    End sets.  Sort the values.  For q-subsets T of a pool and a constant
+    c, f(T) = c sum(T) + e2(T) (e2 itself is c = 0) is least at an end set,
+    the j smallest plus the q - j largest values for some j.  Proof: with
+    T' = T minus x, f(T) = x (c + sum(T')) + f(T'), affine in x.  Among the
+    minimizers take one with the most sorted positions in its bottom run
+    (0, 1, ...) plus its top run (..., m-1, m).  If it is not an end set,
+    some chosen x lies strictly between the first unused position from the
+    bottom and the first unused position from the top; moving x to one of
+    them changes f by (y - x)(c + sum(T')) or (z - x)(c + sum(T')) with
+    y <= x <= z, and one of these is <= 0.  That gives a minimizer with a
+    longer run, a contradiction.  So the minimum over C(n, r) subsets is
+    the least of r + 1 end-set values, kept as running sums of the sorted
+    values and of their squares.
+
+    Witness.  A greedy fills positions left to right: for the next position
+    it accepts the first index i after the last accepted one for which some
+    completion from indices > i still reaches the minimum.  With the prefix
+    P fixed, e2(P + {i} + T) = e2(P + {i}) + sum(P + {i}) sum(T) + e2(T) is
+    f above with c = sum(P + {i}), so the completion minimum is the least
+    end set of the remaining pool, in exact arithmetic.  If the prefix
+    agrees with the lexicographically first minimizer w, every i before
+    the next entry of w is rejected (accepting it would give a smaller
+    minimizer) and that entry is accepted (w completes it), so the greedy
+    returns w.  Candidates only increase, so at most n checks are made,
+    each O(r) after an O(n) update of the sorted pool.
+
+    Fan and Pall's converse of Cauchy interlacing (Canad. J. Math. 9, 1957):
+    the r x r compressions of a symmetric operator with sorted eigenvalues
+    l_1 <= ... <= l_n have exactly the spectra m_1 <= ... <= m_r with
+    l_i <= m_i <= l_(i+n-r).  Both bounds grow with i, so sorting a point
+    of that box keeps it in the box; e2 is symmetric, so the infimum over
+    r-planes is the minimum of e2 over the box, and e2 is affine in each
+    m_i, so it is reached at a vertex, each m_i equal to l_i or l_(i+n-r).
+    When n >= 2r those index ranges are disjoint, a vertex is an r-subset
+    of the eigenvalues, and this minimum is the infimum of tau(L) over all
+    r-planes.  When n < 2r a vertex can repeat an eigenvalue and that step
+    is not proved here; the optimizer in ``delta_invariant`` remains the
+    cross-check.
     """
     n = len(spectrum)
     if not 2 <= r <= n - 1:
         raise GeometryError(f"r must satisfy 2 <= r <= n-1, got r={r}, n={n}")
-    best = None
-    best_subset = None
-    for subset in combinations(range(n), r):
-        value = tau_from_spectrum([spectrum[i] for i in subset])
-        if best is None or value < best:
-            best, best_subset = value, subset
-    return best, best_subset
+    ratios = [x.as_integer_ratio() for x in spectrum]
+    scale = math.lcm(*(d for _, d in ratios))
+    ints = [m * (scale // d) for m, d in ratios]
+    pool = sorted(ints)
+    target = _least_doubled_pair_sum(pool, r, 0, 0)
+    witness: list[int] = []
+    total = twice = 0
+    for i, x in enumerate(ints):
+        del pool[bisect_left(pool, x)]
+        need = r - len(witness) - 1
+        with_x = (total + x, twice + 2 * total * x)
+        if _least_doubled_pair_sum(pool, need, *with_x) == target:
+            witness.append(i)
+            total, twice = with_x
+            if not need:
+                break
+    return tau_from_spectrum([spectrum[i] for i in witness]), tuple(witness)
 
 
 def delta_from_spectrum(spectrum: list[Number], r: int) -> tuple[Number, Number, tuple]:
@@ -136,9 +213,12 @@ def delta_invariant(
 ) -> DeltaResult:
     """delta(r) = tau - inf tau(L) over r-dimensional tangent subspaces.
 
-    The combinatorial candidate scans spans of principal directions; the
-    optimizer candidate searches all orthonormal r-frames by projected
-    gradient descent.  The smaller value wins and both are recorded.
+    The combinatorial candidate is the exact minimum over spans of r
+    principal directions (``combinatorial_inf``: the least of r + 1 end
+    sets, with the first minimizing subset as witness), which for n >= 2r
+    is the infimum over all r-planes.  The optimizer candidate searches all
+    orthonormal r-frames by projected gradient descent and is the
+    cross-check.  The smaller value wins and both are recorded.
     """
     if use_optimizer and restarts < 1:
         raise ConfigError(f"the optimizer needs at least one restart, got {restarts}")

@@ -1,11 +1,12 @@
 """End-to-end CLI tests: contract examples, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from deltahyp import reference_forms
+from deltahyp import reference_forms, tau_from_spectrum
 from deltahyp.cli import main
 from deltahyp.surfaces import MAX_DIMENSION
 
@@ -51,6 +52,20 @@ class TestContractExamples:
         assert payload["delta"]["delta"] == 36
         assert payload["ideal"] is True
         assert payload["exact"]["delta"] == "36"
+
+    def test_delta_r10_on_200_values(self, capsys):
+        # C(200, 10) is about 2.2e16 subsets; the end sets answer at once
+        values = [Fraction((7 * k) % 23 - 11, 1 + k % 3) for k in range(200)]
+        spectrum = "--spectrum=" + ",".join(map(str, values))
+        code, out, _ = run(capsys, "delta", "--no-optimizer", "--r", "10", spectrum)
+        assert code == 0
+        exact = json.loads(out)["exact"]
+        ordered = sorted(values)
+        end_sets = [ordered[:j] + ordered[len(ordered) - 10 + j:] for j in range(11)]
+        inf = min(tau_from_spectrum(subset) for subset in end_sets)
+        assert exact["inf_tau_L"] == str(inf)
+        assert tau_from_spectrum([values[i] for i in exact["witness"]]) == inf
+        assert Fraction(exact["tau"]) == tau_from_spectrum(values)
 
     def test_replay_n3_usage_error(self, capsys):
         code, _, err = run(capsys, "replay", "--n", "3")

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltahyp import (
     GeometryError,
@@ -20,6 +22,26 @@ from deltahyp import (
     tau_from_spectrum,
 )
 from deltahyp.stiefel import project_tangent, retract_qf, tau_gradient, tau_of_frame
+
+
+def full_scan(spectrum, r):
+    """Test oracle: every r-subset in lexicographic order, the first minimum wins."""
+    best = witness = None
+    for subset in itertools.combinations(range(len(spectrum)), r):
+        value = tau_from_spectrum([spectrum[i] for i in subset])
+        if best is None or value < best:
+            best, witness = value, subset
+    return best, witness
+
+
+@st.composite
+def tie_heavy_spectra(draw):
+    """n = 3..10 values drawn from at most four small rationals, so ties abound."""
+    rationals = st.builds(
+        Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3))
+    )
+    pool = draw(st.lists(rationals, min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool), min_size=3, max_size=10))
 
 
 class TestExactLayer:
@@ -54,14 +76,21 @@ class TestExactLayer:
 
     def test_exact_brute_force_cross_check(self):
         spectrum = [2, -1, 3, 5, -2]
-        tau = tau_from_spectrum(spectrum)
         for r in (2, 3, 4):
-            best = min(
-                tau_from_spectrum([spectrum[i] for i in subset])
-                for subset in itertools.combinations(range(5), r)
-            )
-            value, _ = combinatorial_inf(spectrum, r)
-            assert value == best
+            assert combinatorial_inf(spectrum, r) == full_scan(spectrum, r)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(tie_heavy_spectra())
+    def test_end_sets_and_greedy_match_the_full_scan(self, spectrum):
+        floats = sorted(float(x) for x in spectrum)  # as curvature_report gives them
+        scale = max(1.0, max(abs(x) for x in floats)) ** 2
+        for r in range(2, len(spectrum)):
+            assert combinatorial_inf(spectrum, r) == full_scan(spectrum, r)
+            value, witness = combinatorial_inf(floats, r)
+            # the float search is exact: its witness is the first exact minimizer
+            assert witness == full_scan([Fraction(x) for x in floats], r)[1]
+            # the float value may differ from the float scan's only at exact ties
+            assert abs(value - full_scan(floats, r)[0]) <= 1e-15 * scale
 
 
 class TestChenBound:
