@@ -975,7 +975,7 @@ class _Pipeline:
             c12 = state.curve12.restrict_ring(_CURVE_RING)
             if c9.degree("beta") < 1 or c12.degree("beta") < 1:
                 self._fail("both curves must be nonconstant in beta before elimination")
-            state.final_resultant = resultant(c9, c12, "beta")
+            state.final_resultant = self._final_resultant(c9, c12)
 
         rep = self.branches[BRANCH_REPLAYED]
         res = rep.final_resultant
@@ -1013,6 +1013,65 @@ class _Pipeline:
             )
         self.notes.append(note)
         return self._report(verdict, branches_out)
+
+    def _final_resultant(self, c9: Polynomial, c12: Polynomial) -> Polynomial:
+        """Resultant of the two curves in beta, taken at H = 1 with H restored.
+
+        Both curves must be weighted-homogeneous for the weights H:1, beta:1,
+        a:2, of weights D1 and D2; this is checked, never assumed.  Write
+        f = c9 = sum f_i beta^i (beta-degree m) and g = c12 = sum g_i beta^i
+        (beta-degree n), so f_i has weight D1 - i and g_i weight D2 - i in
+        (H, a).  Row i < n of the Sylvester matrix holds f_{m-j+i} in column
+        j, of weight D1 - m + j - i; row n + i holds g_{n-j+i}, of weight
+        D2 - n + j - i.  Every product along a permutation therefore has weight
+            n(D1 - m) + m(D2 - n) + sum_j j - sum_{i<n} i - sum_{i<m} i
+              = n*D1 + m*D2 - m*n = D,
+        so the resultant is sum_k r_k H^(D-2k) a^k.  Setting H = 1 maps the
+        terms of one weight to distinct powers of a, so the lead coefficients
+        f_m, g_n stay nonzero, the Sylvester matrix at H = 1 is the Sylvester
+        matrix of the curves at H = 1, and its determinant is sum_k r_k a^k:
+        each a^k is restored to H^(D-2k) a^k.
+
+        A numeric type constant is folded into the coefficients: the term
+        H^i beta^j stands for H^i beta^j a^k with i + j + 2k the curve's
+        weight.  ``_unfold`` gives each term that power of a back and keeps
+        its numeric coefficient.  The numeric curves are the unfolded ones at
+        a = 1, with the same beta-degrees, so the numeric resultant is the
+        unfolded one at a = 1; its terms r_k H^(D-2k) a^k have distinct
+        powers of H, so setting a = 1 merges none of them.
+        """
+        numeric = self.cfg.a_mode == "numeric"
+        if numeric:
+            c9, c12 = self._unfold(c9), self._unfold(c12)
+        d9 = self._weight(c9, "tangency curve")
+        d12 = self._weight(c12, "prolonged curve")
+        m, n = c9.degree("beta"), c12.degree("beta")
+        top = n * d9 + m * d12 - m * n
+        at_one = resultant(c9.substitute("H", 1), c12.substitute("H", 1), "beta")
+        return Polynomial(
+            _CURVE_RING,
+            {(top - 2 * k, 0, 0 if numeric else k): c for (_, _, k), c in at_one.terms.items()},
+        )
+
+    @staticmethod
+    def _unfold(curve: Polynomial) -> Polynomial:
+        """Give each term H^i beta^j the power a^k that makes its weight the
+        curve's (H, beta)-degree; ``_weight`` rejects a term of the wrong parity."""
+        top = max(h + b for h, b, _ in curve.terms)
+        return Polynomial(
+            _CURVE_RING,
+            {(h, b, (top - h - b) // 2): c for (h, b, _), c in curve.terms.items()},
+        )
+
+    def _weight(self, curve: Polynomial, what: str) -> int:
+        """The weight of a curve homogeneous for H:1, beta:1, a:2."""
+        weights = {h + b + 2 * k for h, b, k in curve.terms}
+        if len(weights) != 1:
+            self._fail(
+                f"{what} is not weighted-homogeneous for H:1, beta:1, a:2 "
+                f"(term weights {sorted(weights)})"
+            )
+        return weights.pop()
 
     def _consistency_spotcheck(self, state: _BranchState) -> None:
         """At sample points, shared roots in beta must match resultant zeros."""

@@ -6,8 +6,9 @@ to a nonzero rational, the resultant up to a nonzero rational).  So must the
 term accessors (one monomial's coefficient, the support cut down to some
 variables), and the product rewrite must stay in its coset of the ideal.  Every result
 is also checked to store no zero coefficient, the invariant the constructor
-keeps for all operations.  The replay's final resultants for n = 4..8 are
-checked against sympy's resultant of the same two curves.
+keeps for all operations.  The replay's final resultants for n = 4..8 must
+equal sympy's resultant of the same two curves exactly, and each other sign
+branch's verdict must follow from sympy's resultant of that branch's curves.
 """
 
 from fractions import Fraction
@@ -201,11 +202,17 @@ def test_resultant_up_to_a_nonzero_rational(f, g):
     assert_proportional(resultant(f, g, "x"), poly_of(oracle.as_expr()))
 
 
+def sympy_resultant(curve9: Polynomial, curve12: Polynomial):
+    curves = [to_sympy(curve).as_expr() for curve in (curve9, curve12)]
+    return poly_of(sympy.resultant(*curves, sympy.Symbol("beta")), curve9.ring)
+
+
 @pytest.mark.parametrize("n", range(4, 9))
 def test_final_resultant_is_sympys(n):
     report = replay_all(ReplayConfig(n=n))
-    curves = [to_sympy(curve).as_expr() for curve in (report.curve9, report.curve12)]
-    oracle = sympy.resultant(*curves, sympy.Symbol("beta"))
     final = report.final_resultant
     assert not final.is_zero()
-    assert_proportional(final, poly_of(oracle, final.ring))
+    assert final.terms == terms_of(sympy_resultant(report.curve9, report.curve12))
+    for branch in report.branches.values():
+        oracle = sympy_resultant(branch.curve9, branch.curve12)
+        assert branch.resultant_nonzero == (not oracle.is_zero)

@@ -6,6 +6,7 @@ principles by the pipeline (nothing is stored as a precomputed result inside
 the package itself).
 """
 
+import json
 import pathlib
 from fractions import Fraction
 
@@ -27,9 +28,11 @@ from deltahyp import (
     verify_omega_identities,
 )
 from deltahyp import reference_forms
+from deltahyp.cli import main
 from deltahyp import replay as replay_module
 from deltahyp.replay import (
     BRANCH_FIRST_PRINCIPLES,
+    BRANCH_REPLAYED,
     EXACT,
     FLAGGED,
     STRUCTURAL,
@@ -268,6 +271,15 @@ class TestElimination:
     def test_spotcheck_note_present(self, report4):
         assert any("cross-check" in note for note in report4.notes)
 
+    @pytest.mark.parametrize("a", [Fraction(0), Fraction(-3, 2)])
+    def test_numeric_resultant_is_the_symbolic_one_at_a(self, report5, a):
+        # the curves are normalized to primitive parts in either mode, so the
+        # two resultants agree up to a nonzero rational factor
+        numeric = replay_all(ReplayConfig(n=5, a_mode="numeric", a_value=a))
+        symbolic = report5.final_resultant.substitute("a", a)
+        assert not symbolic.is_zero()
+        assert numeric.final_resultant.primitive() == symbolic.primitive()
+
     def test_numeric_mode_n6(self, report6num):
         assert report6num.verdict == VERDICT_CONSTANT
         res = report6num.final_resultant
@@ -365,3 +377,51 @@ class TestFailureModes:
         assert report.checkpoints[-1].id == "3.65"
         assert report.branches == {}
         assert report.verdict == VERDICT_INCONCLUSIVE
+
+    @staticmethod
+    def add_to_curve9(monkeypatch, term):
+        """Add ``term(pipeline)`` to the replayed tangency curve after it is prolonged."""
+        dependencies, prolonged = replay_module._STAGES["prolonged"]
+
+        def prolonged_with_stray_term(pipeline):
+            curve = prolonged(pipeline)
+            state = pipeline.branches[BRANCH_REPLAYED]
+            state.curve9 = state.curve9 + term(pipeline)
+            return curve
+
+        monkeypatch.setitem(
+            replay_module._STAGES, "prolonged", (dependencies, prolonged_with_stray_term)
+        )
+
+    def test_inhomogeneous_curve_halts_with_partial_report(self, monkeypatch):
+        # the final resultant is taken at H = 1 and H restored from the
+        # weights; a curve off its weight must halt, never be rehomogenized
+        self.add_to_curve9(monkeypatch, lambda p: p.H * p.beta**2)
+        with pytest.raises(CheckpointFailure, match="tangency curve is not weighted-homogeneous"
+                           ) as err:
+            replay_all(ReplayConfig(n=5))
+        report = err.value.report
+        assert report.checkpoints[-1].id == "3.65"
+        assert report.final_resultant is None
+        assert report.branches == {}
+        assert report.verdict == VERDICT_INCONCLUSIVE
+
+    def test_inhomogeneous_curve_exits_three(self, monkeypatch, capsys, tmp_path):
+        self.add_to_curve9(monkeypatch, lambda p: p.H * p.beta**2)
+        out = tmp_path / "partial.json"
+        code = main(["replay", "--n", "5", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "checkpoint failure: tangency curve is not weighted-homogeneous" in err
+        partial = json.loads(out.read_text(encoding="utf-8"))
+        assert partial["verdict"] == "inconclusive"
+        assert partial["final_resultant"] is None
+        assert partial["checkpoints"][-1]["id"] == "3.65"
+        assert f"partial report: {len(partial['checkpoints'])} checkpoint(s) passed" in err
+
+    def test_numeric_curve_of_the_wrong_parity_halts(self, monkeypatch):
+        # with a numeric type constant only the parity of a term's (H, beta)
+        # degree shows its weight: H*beta cannot be a folded weight-9 term
+        self.add_to_curve9(monkeypatch, lambda p: p.H * p.beta)
+        with pytest.raises(CheckpointFailure, match="tangency curve is not weighted-homogeneous"):
+            replay_all(ReplayConfig(n=5, a_mode="numeric", a_value=Fraction(3, 2)))

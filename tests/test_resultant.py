@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from deltahyp import DegreeError, PolynomialRing, poly_gcd
+from deltahyp import DegreeError, Polynomial, PolynomialRing, poly_gcd
 from deltahyp.resultant import det_bareiss, det_cofactor, resultant, sylvester_matrix
 
 RING = PolynomialRing(("t", "s"))
@@ -60,6 +61,61 @@ class TestDeterminants:
             [RING.const(7), RING.const(4)],
         ]
         assert det_bareiss(matrix) == RING.one()
+
+
+XYZ = PolynomialRing(("x", "y", "z"))
+COEFFS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+
+@st.composite
+def polynomial_matrices(draw):
+    """Square matrices of size 1..6 over Q[x, y, z], 0..3 of the variables used.
+
+    Each row is divided by its own denominator.  Some matrices are made
+    singular (a zero row, or a row the sum of multiples of two others), and
+    some repeat a row plus a constant, so that the top-degree parts cancel and
+    the degree bound from the row and column sums is not reached.
+    """
+    size = draw(st.integers(1, 6))
+    nvars = draw(st.integers(0, 3))
+    exps = st.tuples(*(st.integers(0, 2) if i < nvars else st.just(0) for i in range(3)))
+    entries = st.dictionaries(exps, COEFFS, max_size=3).map(lambda t: Polynomial(XYZ, t))
+    rows = [
+        [entry.scale(Fraction(1, denominator)) for entry in row]
+        for row, denominator in zip(
+            draw(st.lists(st.lists(entries, min_size=size, max_size=size),
+                          min_size=size, max_size=size)),
+            draw(st.lists(st.integers(1, 7), min_size=size, max_size=size)),
+        )
+    ]
+    shape = draw(st.sampled_from(("dense", "zero-row", "dependent", "cancelling")))
+    if shape == "zero-row":
+        rows[draw(st.integers(0, size - 1))] = [XYZ.zero()] * size
+    elif shape == "dependent" and size >= 3:
+        a, b = draw(COEFFS), draw(COEFFS)
+        rows[-1] = [a * p + b * q for p, q in zip(rows[0], rows[1])]
+    elif shape == "cancelling" and size >= 2:
+        rows[-1] = [p + draw(COEFFS) for p in rows[0]]
+    return rows
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(polynomial_matrices())
+def test_bareiss_equals_cofactor(matrix):
+    assert det_bareiss(matrix) == det_cofactor(matrix)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_resultant_equals_naive_with_two_variables_left(data):
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2))
+    polys = st.dictionaries(exps, COEFFS, min_size=1, max_size=5).map(
+        lambda t: Polynomial(XYZ, t)
+    )
+    f = data.draw(polys.filter(lambda p: p.degree("x") >= 1))
+    g = data.draw(polys.filter(lambda p: p.degree("x") >= 1))
+    assume({"y", "z"} <= set(f.variables_used() + g.variables_used()))
+    assert resultant(f, g, "x") == resultant(f, g, "x", method="naive")
 
 
 class TestResultantValues:
