@@ -42,7 +42,6 @@ from .errors import (
     ParseError,
     SchemaError,
     UnknownVariableError,
-    UnsupportedModeError,
 )
 from .jsonio import canonical_dumps, dump_path, load_path, to_jsonable
 from .poly import Polynomial, PolynomialRing, RationalFunction, poly_gcd
@@ -66,8 +65,6 @@ from .surfaces import (
     SurfaceSpec,
     catalog_shape_operator,
     load_case,
-    load_report,
-    save_report,
     shape_operator_from_grid,
 )
 
@@ -99,7 +96,6 @@ __all__ = [
     "SpectrumReport",
     "SurfaceSpec",
     "UnknownVariableError",
-    "UnsupportedModeError",
     "build_algebra",
     "canonical_dumps",
     "catalog_shape_operator",
@@ -119,13 +115,11 @@ __all__ = [
     "ideality_gap",
     "load_case",
     "load_path",
-    "load_report",
     "null2type_check",
     "poly_gcd",
     "replay_all",
     "restricted_scalar",
     "resultant",
-    "save_report",
     "shape_operator_from_grid",
     "sylvester_matrix",
     "tau_from_spectrum",

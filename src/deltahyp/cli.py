@@ -339,7 +339,7 @@ def _cmd_ideal(args) -> int:
 
 def _cmd_null2(args) -> int:
     operator, _ = _operator_from_args(args)
-    report = null2type_check(operator, assume_constant_H=True, tol=args.tol)
+    report = null2type_check(operator, tol=args.tol)
     payload = report.to_json_dict()
     lines = [
         f"status: {report.status}",

@@ -11,7 +11,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError, UnsupportedModeError
+from .errors import ConfigError, GeometryError
 from .shape import ShapeOperator, SpectrumReport, curvature_report
 from .stiefel import minimize_tau
 
@@ -316,22 +316,15 @@ def detect_ideal_pattern(A: ShapeOperator, tol: float = DEFAULT_TOL) -> Optional
     return None
 
 
-def null2type_check(
-    A: ShapeOperator,
-    assume_constant_H: bool = True,
-    tol: float = DEFAULT_TOL,
-) -> Null2TypeReport:
+def null2type_check(A: ShapeOperator, tol: float = DEFAULT_TOL) -> Null2TypeReport:
     """Pointwise screen for the null-2-type condition with constant mean curvature.
 
     With constant H the gradient part of the type equation is vacuous and the
     remaining scalar equation pins the spectral constant to a = tr A^2.
     Minimal points (H = 0) and umbilical points (1-type sphere) are rejected.
+    Pointwise data cannot certify a varying mean curvature, so H is always
+    assumed constant.
     """
-    if not assume_constant_H:
-        raise UnsupportedModeError(
-            "pointwise data cannot certify a varying mean curvature; only "
-            "assume_constant_H=True is supported"
-        )
     report = curvature_report(A)
     if abs(report.H) <= tol:
         return Null2TypeReport(

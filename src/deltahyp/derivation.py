@@ -41,10 +41,7 @@ class Derivation:
         """Derivative of a polynomial (rational function in general)."""
         total = RationalFunction.of(self.ring.zero())
         for var in p.variables_used():
-            partial = p.diff(var)
-            if partial.is_zero():
-                continue
-            total = total + self.rule(var) * partial
+            total = total + self.rule(var) * p.diff(var)
         return total
 
     def of_poly_strict(self, p: Polynomial) -> Polynomial:
@@ -101,7 +98,6 @@ class DerivationAlgebra:
     ring: PolynomialRing
     c1: Fraction
     c2: Fraction
-    rules: dict[str, Polynomial] = field(repr=False)
     derivation: Derivation = field(repr=False)
     scratch_derivation: Derivation = field(repr=False)
 
@@ -154,7 +150,6 @@ def build_algebra(cfg: ReplayConfig) -> DerivationAlgebra:
         ring=ring,
         c1=c1,
         c2=c2,
-        rules=rules,
         derivation=Derivation(ring, rules),
         scratch_derivation=Derivation(ring, scratch_rules),
     )

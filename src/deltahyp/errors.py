@@ -59,7 +59,3 @@ class CheckpointFailure(DeltahypError):
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
-
-
-class UnsupportedModeError(DeltahypError):
-    """A mode flag requests behaviour the implementation does not support."""

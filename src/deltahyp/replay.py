@@ -353,6 +353,12 @@ class _Pipeline:
         self.side_conditions.append(SideCondition(prim, origin))
         return self.side_conditions[-1]
 
+    def _checkpoint(
+        self, tag: str, status: str, derived: Optional[str], expected: Optional[str], note: str
+    ) -> None:
+        """Append one checkpoint to the ledger; the only place one is built."""
+        self.checkpoints.append(Checkpoint(tag, status, derived, expected, note))
+
     def _checkpoint_compare(
         self,
         tag: str,
@@ -363,31 +369,25 @@ class _Pipeline:
         """Compare up to a nonzero rational factor via lead-positive primitives."""
         dp = derived.primitive()
         ep = expected.primitive()
-        if dp == ep:
-            cp = Checkpoint(tag, EXACT, derived.render(), expected.render(), note)
-        else:
-            mismatch_note = self._describe_mismatch(dp, ep)
-            if note:
-                mismatch_note = note + " " + mismatch_note
-            cp = Checkpoint(tag, FLAGGED, derived.render(), expected.render(), mismatch_note)
-        self.checkpoints.append(cp)
-
-    @staticmethod
-    def _describe_mismatch(dp: Polynomial, ep: Polynomial) -> str:
-        diff = dp - ep
-        reference = ep.support()
-        # a reference term agrees exactly when the difference lacks its monomial
-        agree = reference - diff.support()
-        return (
-            "derived relation does not reproduce the reference coefficient table; "
-            f"{len(agree)} of {len(reference)} reference terms agree, "
-            f"difference (primitive comparison) = {diff.render()}"
-        )
+        status = EXACT
+        if dp != ep:
+            status = FLAGGED
+            diff = dp - ep
+            reference = ep.support()
+            # a reference term agrees exactly when the difference lacks its monomial
+            agree = reference - diff.support()
+            mismatch = (
+                "derived relation does not reproduce the reference coefficient table; "
+                f"{len(agree)} of {len(reference)} reference terms agree, "
+                f"difference (primitive comparison) = {diff.render()}"
+            )
+            note = f"{note} {mismatch}" if note else mismatch
+        self._checkpoint(tag, status, derived.render(), expected.render(), note)
 
     def _structural_checkpoint(self, tag: str, ok: bool, derived: str, why: str) -> None:
         if not ok:
             self._fail(f"checkpoint {tag}: structural requirement failed: {why}")
-        self.checkpoints.append(Checkpoint(tag, STRUCTURAL, derived, None, why))
+        self._checkpoint(tag, STRUCTURAL, derived, None, why)
 
     def _form_part(self, poly: Polynomial) -> Polynomial:
         """Assert the remainder uses only H, beta, a and return it."""
@@ -399,59 +399,43 @@ class _Pipeline:
 
     def lemma31(self) -> ContradictionCertificate:
         n = self.n
-        ring = PolynomialRing(("H", "alpha", "beta", "gamma"))
-        H = ring.var("H")
-        alpha, beta, gamma = ring.var("alpha"), ring.var("beta"), ring.var("gamma")
-        s = alpha + beta + gamma
         if n == 4:
             # Degenerate branch: the three-value pattern (alpha, beta, gamma, s)
             # with the repeated value forced to -(n/2) H.  The trace computed
             # from the pattern then contradicts the trace computed from the sum.
+            ring = PolynomialRing(("H", "alpha", "beta", "gamma"))
+            H = ring.var("H")
+            alpha, beta, gamma = ring.var("alpha"), ring.var("beta"), ring.var("gamma")
+            s = alpha + beta + gamma
             trace_sum = Fraction(n) * H  # n*H, by definition of the mean
             trace_pattern = (2 * s).substitute(
                 "gamma", self.c1 * H - alpha - beta
             )  # repeated value pinned to c1*H
-            consequence = trace_sum - trace_pattern
-            cert = ContradictionCertificate(
-                n=n,
-                vacuous=False,
-                trace_from_sum=trace_sum.render(),
-                trace_from_pattern=trace_pattern.render(),
-                consequence=consequence.render(),
-                conclusion=(
-                    "degenerate branch forces the mean curvature to vanish, "
-                    "contradicting the running nonvanishing hypothesis; rejected"
-                ),
+            consequence = (trace_sum - trace_pattern).render()
+            traces = (trace_sum.render(), trace_pattern.render(), consequence)
+            conclusion = (
+                "degenerate branch forces the mean curvature to vanish, "
+                "contradicting the running nonvanishing hypothesis; rejected"
             )
-            note = (
-                f"degenerate branch rejected: trace mismatch {consequence.render()} = 0 "
-                "forces H = 0"
-            )
+            note = f"degenerate branch rejected: trace mismatch {consequence} = 0 forces H = 0"
         else:
-            cert = ContradictionCertificate(
-                n=n,
-                vacuous=True,
-                trace_from_sum=None,
-                trace_from_pattern=None,
-                consequence=None,
-                conclusion=(
-                    "degenerate branch is vacuous: a repeated value of "
-                    "multiplicity one only occurs when n = 4"
-                ),
+            traces = (None, None, None)
+            conclusion = (
+                "degenerate branch is vacuous: a repeated value of "
+                "multiplicity one only occurs when n = 4"
             )
             note = "degenerate branch vacuous for n >= 5"
+        cert = ContradictionCertificate(n, n != 4, *traces, conclusion)
         # Accepted branch: the spectrum used by the rest of the pipeline,
         # with its two exact consistency identities.
         c1, c2 = self.c1, self.c2
-        fH = self.H
-        fbeta = self.beta
-        lam1 = c1 * fH
-        lam2 = fbeta
-        lam3 = c2 * fH - fbeta
-        lam_tail = (c1 + c2) * fH
+        lam1 = c1 * self.H
+        lam2 = self.beta
+        lam3 = c2 * self.H - self.beta
+        lam_tail = (c1 + c2) * self.H
         total = lam1 + lam2 + lam3 + (n - 3) * lam_tail
-        ident_trace = total - n * fH
-        ident_sum3 = (lam1 + lam2 + lam3) - (c1 + c2) * fH
+        ident_trace = total - n * self.H
+        ident_sum3 = (lam1 + lam2 + lam3) - (c1 + c2) * self.H
         cert.accepted_spectrum = {
             "lambda_1": lam1.render(),
             "lambda_2": lam2.render(),
@@ -464,9 +448,7 @@ class _Pipeline:
         }
         if not all(cert.identities.values()):
             self._fail("accepted spectrum failed its trace identities")
-        self.checkpoints.append(
-            Checkpoint("L3.1", EXACT, cert.consequence, None, note)
-        )
+        self._checkpoint("L3.1", EXACT, cert.consequence, None, note)
         return cert
 
     # -- stage: connection-quotient identities ----------------------------------
@@ -488,47 +470,45 @@ class _Pipeline:
         q_j23 = quo(h, B3)
         q_j32 = quo(-h, B3)
 
+        # the six quotient products every residue and relation below is built from
+        p_2j3_j32 = q_2j3 * q_j32
+        p_3j2_j23 = q_3j2 * q_j23
+        p_23_3j2 = q_23 * q_3j2
+        p_23_skew = (q_j23 - q_2j3) * q_3j2
+        p_32_skew = (q_j32 - q_3j2) * q_2j3
+        p_j2_skew = (q_32 - q_23) * q_j32
+
         residues = {
-            "pair-23": -q_2j3 * q_j32 - (q_j23 - q_2j3) * q_3j2,
-            "pair-32": -q_3j2 * q_j23 - (q_j32 - q_3j2) * q_2j3,
-            "pair-j2": -q_23 * q_3j2 - (q_32 - q_23) * q_j32,
-            "cyclic": q_2j3 * q_j32 + q_3j2 * q_j23 + q_23 * q_3j2,
+            "pair-23": -p_2j3_j32 - p_23_skew,
+            "pair-32": -p_3j2_j23 - p_32_skew,
+            "pair-j2": -p_23_3j2 - p_j2_skew,
+            "cyclic": p_2j3_j32 + p_3j2_j23 + p_23_3j2,
         }
         for label, value in residues.items():
             if not value.is_zero():
                 self._fail(f"quotient residue {label} did not vanish: {value.render()}")
-        self.checkpoints.append(
-            Checkpoint(
-                "3.41-cyclic",
-                EXACT,
-                "0",
-                "0",
-                "all three pairwise products and the cyclic sum reduce to zero "
-                "over the common denominators",
-            )
-        )
+        self._checkpoint("3.41-cyclic", EXACT, "0", "0",
+                         "all three pairwise products and the cyclic sum reduce to zero "
+                         "over the common denominators")
 
-        # Given quadratic relations (diagonal coefficients enter as the
-        # antisymmetric partners of w414 resp. w313).
-        uw = RationalFunction.of(w)
-        uv_ = RationalFunction.of(v)
+        # Polynomial part of each given relation (3.34)-(3.36), shared with its
+        # two-product form (3.42)-(3.44).  Diagonal coefficients enter as the
+        # antisymmetric partners of w414 resp. w313.
+        base = {
+            "3.34": rf(-(w * u) - (c1 + c2) * (beta * H)),
+            "3.35": rf(-(w * v) - (c1 + c2) * (H * (c2 * H - beta))),
+            "3.36": rf(-(v * u) - beta * (c2 * H - beta)),
+        }
         given = {
-            "3.34": (-uw) * rf(u) - q_2j3 * q_j32 + (q_j23 - q_2j3) * q_3j2
-            - rf((c1 + c2) * (beta * H)),
-            "3.35": (-uw) * rf(v) - q_3j2 * q_j23 + (q_j32 - q_3j2) * q_2j3
-            - rf((c1 + c2) * (H * (c2 * H - beta))),
-            "3.36": (-uv_) * rf(u)
-            - Fraction(n - 3) * (q_23 * q_3j2)
-            + Fraction(n - 3) * ((q_32 - q_23) * q_j32)
-            - rf(beta * (c2 * H - beta)),
+            "3.34": base["3.34"] - p_2j3_j32 + p_23_skew,
+            "3.35": base["3.35"] - p_3j2_j23 + p_32_skew,
+            "3.36": base["3.36"] - Fraction(n - 3) * p_23_3j2 + Fraction(n - 3) * p_j2_skew,
         }
         # Derived two-product forms: fold each pairwise residue into its relation.
         derived = {
-            "3.42": (-uw) * rf(u) - 2 * (q_2j3 * q_j32) - rf((c1 + c2) * (beta * H)),
-            "3.43": (-uw) * rf(v) - 2 * (q_3j2 * q_j23)
-            - rf((c1 + c2) * (H * (c2 * H - beta))),
-            "3.44": (-uv_) * rf(u) - 2 * Fraction(n - 3) * (q_23 * q_3j2)
-            - rf(beta * (c2 * H - beta)),
+            "3.42": base["3.34"] - 2 * p_2j3_j32,
+            "3.43": base["3.35"] - 2 * p_3j2_j23,
+            "3.44": base["3.36"] - 2 * Fraction(n - 3) * p_23_3j2,
         }
         relations: dict[str, str] = {}
         for tag, source in (("3.42", "3.34"), ("3.43", "3.35"), ("3.44", "3.36")):
@@ -539,16 +519,9 @@ class _Pipeline:
                     f"residual {delta.render()}"
                 )
             relations[tag] = derived[tag].render()
-            self.checkpoints.append(
-                Checkpoint(
-                    tag,
-                    EXACT,
-                    derived[tag].render(),
-                    given[source].render(),
-                    f"two-product form coincides with {source} modulo the "
-                    "verified pairwise residue",
-                )
-            )
+            self._checkpoint(tag, EXACT, relations[tag], given[source].render(),
+                             f"two-product form coincides with {source} modulo the "
+                             "verified pairwise residue")
 
         # Aggregate: (n-3)*(3.42) + (n-3)*(3.43) + (3.44); the cyclic residue
         # cancels every quotient product, leaving a polynomial relation.
@@ -619,15 +592,8 @@ class _Pipeline:
             unit=unit_pair,
             side_conditions=q_pair,
         )
-        self.checkpoints.append(
-            Checkpoint(
-                "3.22",
-                UP_TO_UNIT,
-                elim.render(),
-                pattern.render(),
-                f"eliminant equals the reference pattern times the unit {unit_pair}",
-            )
-        )
+        self._checkpoint("3.22", UP_TO_UNIT, pair_cert.eliminant, pair_cert.pattern,
+                         f"eliminant equals the reference pattern times the unit {unit_pair}")
 
         # Tail branch: differentiate the balanced quotient relation along a
         # tail direction; the whole bracket is stationary, leaving only the
@@ -640,11 +606,10 @@ class _Pipeline:
         B_den = c1 * H_ + beta_
         rf = RationalFunction.of
         F = RationalFunction((c1 + c2) * E_, c2 * H_)
-        G1 = F + rf(u_)
-        G2 = F + rf(v_)
-        lhs = (G1 / rf(A_den) - G2 / rf(B_den)) * rf(E_) + rf(
-            2 * (H_ * (2 * beta_ - c2 * H_))
-        )
+        # the two stationary quotients
+        g1 = (F + rf(u_)) / rf(A_den)
+        g2 = (F + rf(v_)) / rf(B_den)
+        lhs = (g1 - g2) * rf(E_) + rf(2 * (H_ * (2 * beta_ - c2 * H_)))
         zero = r.zero()
         tail_rules: dict[str, RationalFunction | Polynomial] = {
             "H": zero,
@@ -652,8 +617,8 @@ class _Pipeline:
             "a": zero,
             "E": zero,
             "EE": zero,
-            "w212": rf(-ekb) * (G1 / rf(A_den)),
-            "w313": rf(ekb) * (G2 / rf(B_den)),
+            "w212": rf(-ekb) * g1,
+            "w313": rf(ekb) * g2,
             "w414": zero,
             "h": zero,
             "ekb": zero,
@@ -693,15 +658,8 @@ class _Pipeline:
             unit=unit_tail,
             side_conditions=tail_conditions,
         )
-        self.checkpoints.append(
-            Checkpoint(
-                "3.24",
-                UP_TO_UNIT,
-                coeff.render(),
-                self.H.render(),
-                f"stationary bracket: coefficient equals H times the unit {unit_tail}",
-            )
-        )
+        self._checkpoint("3.24", UP_TO_UNIT, tail_cert.eliminant, tail_cert.pattern,
+                         f"stationary bracket: coefficient equals H times the unit {unit_tail}")
         return Lemma32Certificates(pair_cert, tail_cert, self._stage_checkpoints())
 
     # -- stage: master equations -------------------------------------------------
@@ -716,19 +674,21 @@ class _Pipeline:
         rel49 = p * u + q * v - c2 * E
         rel50 = c2 * (H * w) + (c1 + c2) * E
 
+        # combined second-order relation with the cross term eliminated
+        R = Ds.of_poly_strict(p * u) + Ds.of_poly_strict(q * v) - c2 * EE
+        R = R - v * rel49
+        R = R + 2 * ((u + v) * rel49)
+        hw_value = (-(c1 + c2) / c2) * E
         unreduced_first = {}
         for label, state in self.branches.items():
-            # combined second-order relation with the cross term eliminated
-            R = Ds.of_poly_strict(p * u) + Ds.of_poly_strict(q * v) - c2 * EE
-            R = R - v * rel49
-            R = R + 2 * ((u + v) * rel49)
-            # replace the quotient product by this branch's resolved form
-            uv_value = Fraction(state.sign) * ((n - 3) * (w * (u + v)) + K)
-            R = R.rewrite_product("w212", "w313", uv_value)
+            # replace the quotient product by this branch's resolved form, then
             # clear the lone quotient against the mean-curvature flow relation
-            hw_value = (-(c1 + c2) / c2) * E
-            R = R.rewrite_product("H", "w414", hw_value)
-            unreduced_first[label] = R.scale(-c2)
+            uv_value = Fraction(state.sign) * ((n - 3) * (w * (u + v)) + K)
+            unreduced_first[label] = (
+                R.rewrite_product("w212", "w313", uv_value)
+                .rewrite_product("H", "w414", hw_value)
+                .scale(-c2)
+            )
             coeff_ee = unreduced_first[label].coefficient({"EE": 1})
             if coeff_ee == 0:
                 self._fail("first master equation lost its second-order term")
@@ -795,11 +755,9 @@ class _Pipeline:
         u, v, w = self.u, self.v, self.w
         masters = self.run("masters")
 
+        a21, b21, f2 = self._split_linear(masters.second + masters.third)
         for state in self.branches.values():
-            i1 = masters.second - state.master_first
-            i2 = masters.second + masters.third
-            a11, b11, f1 = self._split_linear(i1)
-            a21, b21, f2 = self._split_linear(i2)
+            a11, b11, f1 = self._split_linear(masters.second - state.master_first)
             det = a11 * b21 - b11 * a21
             if det == 0:
                 self._fail("linear solve for the flow terms is singular")
@@ -970,9 +928,10 @@ class _Pipeline:
     # -- stage: final elimination ----------------------------------------------------
 
     def eliminate(self) -> EliminationReport:
-        for state in self.branches.values():
-            c9 = state.curve9.restrict_ring(_CURVE_RING)
-            c12 = state.curve12.restrict_ring(_CURVE_RING)
+        curves = {}
+        for label, state in self.branches.items():
+            c9, c12 = (c.restrict_ring(_CURVE_RING) for c in (state.curve9, state.curve12))
+            curves[label] = c9, c12
             if c9.degree("beta") < 1 or c12.degree("beta") < 1:
                 self._fail("both curves must be nonconstant in beta before elimination")
             state.final_resultant = self._final_resultant(c9, c12)
@@ -982,7 +941,7 @@ class _Pipeline:
         parity = {h % 2 for (h,) in res.support(("H",))}
         if len(parity) > 1:
             self._fail("final resultant mixes H-parities")
-        self._consistency_spotcheck(rep)
+        self._consistency_spotcheck(*curves[BRANCH_REPLAYED], res)
 
         verdict = VERDICT_INCONCLUSIVE if res.is_zero() else VERDICT_CONSTANT
         branches_out = {}
@@ -991,11 +950,7 @@ class _Pipeline:
                 continue
             nz = not state.final_resultant.is_zero()
             branches_out[label] = BranchSummary(
-                label=label,
-                curve9=state.curve9.restrict_ring(_CURVE_RING),
-                curve12=state.curve12.restrict_ring(_CURVE_RING),
-                resultant_nonzero=nz,
-                verdict=VERDICT_CONSTANT if nz else VERDICT_INCONCLUSIVE,
+                label, *curves[label], nz, VERDICT_CONSTANT if nz else VERDICT_INCONCLUSIVE
             )
         same_outcome = all(
             b.resultant_nonzero == (not res.is_zero()) for b in branches_out.values()
@@ -1073,12 +1028,9 @@ class _Pipeline:
             )
         return weights.pop()
 
-    def _consistency_spotcheck(self, state: _BranchState) -> None:
-        """At sample points, shared roots in beta must match resultant zeros."""
+    def _consistency_spotcheck(self, c9: Polynomial, c12: Polynomial, res: Polynomial) -> None:
+        """At sample points, shared roots in beta of the curves must match zeros of res."""
         rng = random.Random(1_000_003 * self.n + (0 if self.cfg.a_mode == "symbolic" else 1))
-        c9 = state.curve9.restrict_ring(_CURVE_RING)
-        c12 = state.curve12.restrict_ring(_CURVE_RING)
-        res = state.final_resultant
         checked = 0
         attempts = 0
         while checked < 20 and attempts < 200:

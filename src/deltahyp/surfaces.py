@@ -10,7 +10,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import GeometryError, GridError, SchemaError
-from .jsonio import dump_path, load_path
+from .jsonio import load_path
 from .shape import SYMMETRY_RTOL, ShapeOperator
 
 #: Condition-number threshold above which the first fundamental form is
@@ -395,13 +395,3 @@ def load_case(path) -> Union[SurfaceSpec, ImmersionGrid]:
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge int, deep nesting
         raise SchemaError(f"invalid JSON in {path}: {exc}", positions=["$"]) from exc
     return parse_case(data)
-
-
-def save_report(path, report) -> None:
-    """Write any report object as canonical JSON."""
-    dump_path(path, report)
-
-
-def load_report(path) -> dict:
-    """Read back a JSON report written by save_report."""
-    return load_path(path)

@@ -64,3 +64,21 @@ def test_boundary_patches_trace_the_cli_and_restore(tmp_path, capsys):
         now = vars(target)
         assert now.keys() == saved.keys()
         assert all(now[name] is value for name, value in saved.items())
+
+
+def test_stage_rows_and_hot_path_counts_are_filled(tmp_path, capsys):
+    tracer_module = load_tracer()
+    stages = tracer_module.stage_self_seconds([4])
+    assert list(stages) == [stage for stage, _ in tracer_module.STAGE_FUNCTIONS]
+
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"matrix": [[1.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 3.0]]}))
+
+    def run_items():
+        assert main(["delta", "--r", "2", "--matrix", str(matrix)]) == 0
+        assert main(["delta", "--r", "2", "--spectrum", "1,2,3,6"]) == 0
+
+    counts = tracer_module.hot_path_counts(run_items)
+    capsys.readouterr()
+    assert set(counts) == {"fraction_new", "objective_evals", "iterations", "qr_retractions"}
+    assert all(count > 0 for count in counts.values())

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from deltahyp import (
     GeometryError,
     ShapeOperator,
-    UnsupportedModeError,
     chen_bound,
     combinatorial_inf,
     delta_from_spectrum,
@@ -216,11 +215,6 @@ class TestNull2Type:
     def test_traceless_nonzero_rejected_as_minimal(self):
         report = null2type_check(ShapeOperator(np.diag([1.0, -1.0, 0.0, 0.0])))
         assert report.status == "rejected-minimal"
-
-    def test_nonconstant_H_mode_unsupported(self):
-        A = ShapeOperator(np.eye(4))
-        with pytest.raises(UnsupportedModeError):
-            null2type_check(A, assume_constant_H=False)
 
 
 class TestStiefelOptimizer:

@@ -6,6 +6,7 @@ principles by the pipeline (nothing is stored as a precomputed result inside
 the package itself).
 """
 
+import hashlib
 import json
 import pathlib
 from fractions import Fraction
@@ -314,6 +315,27 @@ class TestGoldenReports:
         text = canonical_dumps(report.to_json_dict())
         golden = (DATA / filename).read_text(encoding="utf-8")
         assert text == golden
+
+    # sha256 of the stdout of replays beyond the golden files; each exits 0
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("--n 7", "573794b8fba29a197d14913b311333acf1cd3d27e8e7d04d6a90f8fbd812e754"),
+            ("--n 8", "a90c65edd36e53e6bdfba78ec107d3f6bf90dd64b39425cd8c56bf64c9269ee8"),
+            ("--n 10", "6879272fcd88643611528eefd3519529f3927c0bb767fce40297c89706eb7de1"),
+            ("--n 12", "be9a020f1cfd38a562112c17a46af3005a95b7995a99079f928589e701c444e1"),
+            ("--n 16", "92ad03cf37a3c1d84fdf2ef313bcbe2a05da0c5e1880d211fd8d9212ec62424e"),
+            ("--n 5 --a-mode numeric --a-value 3/2",
+             "c65bbf67e4c3d0366293e2fbd3f9f9c59e31a2ad632b76550b1885743edb74c2"),
+            ("--n 7 --a-mode numeric --a-value 0",
+             "a9c9ec59e26122be0b17802eec4ff9fcc44efde7497aac8f1b5420ab4dea29fa"),
+            ("--n 9 --a-mode numeric --a-value=-2/3",
+             "88a3192959bedb779691f06928a1145094f6eb93ab65bfa27c71930507b3bf92"),
+        ],
+    )
+    def test_cli_stdout_digest(self, capsys, argv, digest):
+        assert main(["replay", *argv.split()]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
     def test_rerun_is_byte_identical(self):
         cfg = ReplayConfig(n=4)

@@ -12,9 +12,9 @@ from deltahyp import (
     ShapeOperator,
     SurfaceSpec,
     catalog_shape_operator,
+    dump_path,
     load_case,
-    load_report,
-    save_report,
+    load_path,
     shape_operator_from_grid,
 )
 from deltahyp.surfaces import ImmersionGrid
@@ -257,14 +257,14 @@ class TestReportRoundTrip:
         A = ShapeOperator(np.diag([1.0, 2.0, 3.0, 6.0]))
         payload = {"operator": A.to_json_dict(), "note": "round trip"}
         path = tmp_path / "report.json"
-        save_report(path, payload)
-        loaded = load_report(path)
+        dump_path(path, payload)
+        loaded = load_path(path)
         assert loaded["note"] == "round trip"
         assert loaded["operator"]["matrix"][3][3] == 6.0
 
     def test_saved_reports_are_byte_stable(self, tmp_path):
         payload = {"b": 2, "a": 1, "nested": {"y": [1.5, 2.5], "x": None}}
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        save_report(p1, payload)
-        save_report(p2, payload)
+        dump_path(p1, payload)
+        dump_path(p2, payload)
         assert p1.read_bytes() == p2.read_bytes()
