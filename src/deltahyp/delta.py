@@ -194,8 +194,12 @@ def combinatorial_inf(spectrum: list[Number], r: int) -> tuple[Number, tuple[int
 
 
 def delta_from_spectrum(spectrum: list[Number], r: int) -> tuple[Number, Number, tuple]:
-    """Exact (tau, inf over subsets, witness) -> returns (delta, inf, witness)."""
-    tau = tau_from_spectrum(spectrum)
+    """Exact (tau, inf over subsets, witness) -> returns (delta, inf, witness).
+
+    tau is ((sum l)^2 - sum l^2) / 2, the pair sum in O(n) operations.
+    """
+    total = sum(spectrum)
+    tau = Fraction(1, 2) * (total * total - sum(x * x for x in spectrum))
     inf_value, witness = combinatorial_inf(spectrum, r)
     return tau - inf_value, inf_value, witness
 
@@ -260,9 +264,7 @@ def chen_bound(n: int, r: int, H: Number) -> Number:
     """Universal upper bound n^2 (n-r) / (2 (n-r+1)) * H^2 for delta(r)."""
     if not 2 <= r <= n - 1:
         raise GeometryError(f"r must satisfy 2 <= r <= n-1, got r={r}, n={n}")
-    if isinstance(H, Fraction) or isinstance(H, int):
-        return Fraction(n * n * (n - r), 2 * (n - r + 1)) * H * H
-    return n * n * (n - r) / (2.0 * (n - r + 1)) * H * H
+    return Fraction(n * n * (n - r), 2 * (n - r + 1)) * H * H
 
 
 def ideality_gap(

@@ -27,7 +27,7 @@ class Derivation:
         for var, value in rules.items():
             ring.index(var)  # validates
             if isinstance(value, Polynomial):
-                value = RationalFunction.of(value)
+                value = RationalFunction(value)
             self.rules[var] = value
 
     def rule(self, var: str) -> RationalFunction:
@@ -39,7 +39,7 @@ class Derivation:
 
     def of_poly(self, p: Polynomial) -> RationalFunction:
         """Derivative of a polynomial (rational function in general)."""
-        total = RationalFunction.of(self.ring.zero())
+        total = RationalFunction(self.ring.zero())
         for var in p.variables_used():
             total = total + self.rule(var) * p.diff(var)
         return total
@@ -53,7 +53,7 @@ class Derivation:
         num, den = rf.num, rf.den
         d_num = self.of_poly(num)
         d_den = self.of_poly(den)
-        return (d_num * den - d_den * num) / RationalFunction.of(den * den)
+        return (d_num * den - d_den * num) / (den * den)
 
 
 @dataclass(frozen=True)
@@ -100,12 +100,6 @@ class DerivationAlgebra:
     c2: Fraction
     derivation: Derivation = field(repr=False)
     scratch_derivation: Derivation = field(repr=False)
-
-    def var(self, name: str) -> Polynomial:
-        return self.ring.var(name)
-
-    def const(self, value) -> Polynomial:
-        return self.ring.const(value)
 
 
 def build_algebra(cfg: ReplayConfig) -> DerivationAlgebra:

@@ -564,11 +564,15 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 class RationalFunction:
-    """Quotient of polynomials, kept gcd-reduced with a sign-normalized denominator."""
+    """Quotient of polynomials, kept as the parts ``num`` and ``den`` as formed.
+
+    Arithmetic cross-multiplies and cancels nothing.  ``reduced()`` gives the
+    normal form, which ``render`` and ``__hash__`` read; no other read needs a gcd.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Polynomial, den: Polynomial | None = None, *, reduce: bool = True):
+    def __init__(self, num: Polynomial, den: Polynomial | None = None):
         if den is None:
             den = num.ring.one()
         if num.ring != den.ring:
@@ -577,42 +581,40 @@ class RationalFunction:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             den = num.ring.one()
-        elif reduce:
-            g = poly_gcd(num, den)
-            if not g.is_constant():
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            # normalize: denominator primitive with positive leading coefficient
-            inv = 1 / _signed_content(den)
-            den = den.scale(inv)
-            num = num.scale(inv)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
     def __setattr__(self, *_):  # pragma: no cover - guard
         raise AttributeError("RationalFunction is immutable")
 
-    @classmethod
-    def of(cls, p: Polynomial) -> "RationalFunction":
-        return cls(p, p.ring.one(), reduce=False)
+    def reduced(self) -> tuple[Polynomial, Polynomial]:
+        """Normal form (num, den): coprime, den primitive with positive leading coefficient."""
+        num, den = self.num, self.den
+        g = poly_gcd(num, den)
+        if not g.is_constant():
+            num = num.exact_div(g)
+            den = den.exact_div(g)
+        inv = 1 / _signed_content(den)
+        return num.scale(inv), den.scale(inv)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.den.is_constant()
+        # den divides num exactly when the reduced denominator is constant
+        return self.den.divides(self.num)
 
     def as_polynomial(self) -> Polynomial:
         if not self.is_polynomial():
             raise ValueError(f"not a polynomial: {self.render()}")
-        return self.num.scale(Fraction(1) / self.den.constant_value())
+        return self.num.exact_div(self.den)
 
     def _coerce(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):
             return other
         if isinstance(other, Polynomial):
-            return RationalFunction.of(other)
-        return RationalFunction.of(self.num.ring.const(other))
+            return RationalFunction(other)
+        return RationalFunction(self.num.ring.const(other))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -624,7 +626,7 @@ class RationalFunction:
         return self + other
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den, reduce=False)
+        return RationalFunction(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -656,12 +658,13 @@ class RationalFunction:
         return (self.num * other.den) == (other.num * self.den)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash(self.reduced())
 
     def render(self) -> str:
-        if self.is_polynomial():
-            return self.as_polynomial().render()
-        return f"({self.num.render()}) / ({self.den.render()})"
+        num, den = self.reduced()
+        if den.is_constant():
+            return num.render()
+        return f"({num.render()}) / ({den.render()})"
 
     def __repr__(self):
         return f"<RationalFunction {self.render()}>"

@@ -460,15 +460,14 @@ class _Pipeline:
         B1 = beta + c1 * H
         B2 = beta - (c1 + c2) * H
         B3 = 2 * beta - c2 * H
-        rf = RationalFunction.of
-        quo = RationalFunction
+        rf = RationalFunction
         # quotient forms (each pair is antisymmetric in its two lower slots)
-        q_23 = quo(-h, B1)  # and its partner q_2j3 = +h/B1
-        q_2j3 = quo(h, B1)
-        q_32 = quo(h, B2)
-        q_3j2 = quo(-h, B2)
-        q_j23 = quo(h, B3)
-        q_j32 = quo(-h, B3)
+        q_23 = rf(-h, B1)  # and its partner q_2j3 = +h/B1
+        q_2j3 = rf(h, B1)
+        q_32 = rf(h, B2)
+        q_3j2 = rf(-h, B2)
+        q_j23 = rf(h, B3)
+        q_j32 = rf(-h, B3)
 
         # the six quotient products every residue and relation below is built from
         p_2j3_j32 = q_2j3 * q_j32
@@ -604,12 +603,11 @@ class _Pipeline:
         ekb = r.var("ekb")
         A_den = (c1 + c2) * H_ - beta_
         B_den = c1 * H_ + beta_
-        rf = RationalFunction.of
         F = RationalFunction((c1 + c2) * E_, c2 * H_)
         # the two stationary quotients
-        g1 = (F + rf(u_)) / rf(A_den)
-        g2 = (F + rf(v_)) / rf(B_den)
-        lhs = (g1 - g2) * rf(E_) + rf(2 * (H_ * (2 * beta_ - c2 * H_)))
+        g1 = (F + u_) / A_den
+        g2 = (F + v_) / B_den
+        lhs = (g1 - g2) * E_ + 2 * (H_ * (2 * beta_ - c2 * H_))
         zero = r.zero()
         tail_rules: dict[str, RationalFunction | Polynomial] = {
             "H": zero,
@@ -617,8 +615,8 @@ class _Pipeline:
             "a": zero,
             "E": zero,
             "EE": zero,
-            "w212": rf(-ekb) * g1,
-            "w313": rf(ekb) * g2,
+            "w212": g1 * -ekb,
+            "w313": g2 * ekb,
             "w414": zero,
             "h": zero,
             "ekb": zero,

@@ -67,6 +67,16 @@ class TestContractExamples:
         assert tau_from_spectrum([values[i] for i in exact["witness"]]) == inf
         assert Fraction(exact["tau"]) == tau_from_spectrum(values)
 
+    def test_delta_witnesses_index_sorted_and_input_order(self, capsys):
+        # delta.witness indexes the sorted eigenvalues (-4e6 is position 0);
+        # exact.witness indexes the --spectrum values as given (-4e6 is 4)
+        spectrum = "1e6,2.5e6,3.1e6,6.7e6,-4e6"
+        code, out, _ = run(capsys, "delta", "--r", "2", "--spectrum", spectrum)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["delta"]["witness"] == [0, 4]
+        assert payload["exact"]["witness"] == [3, 4]
+
     def test_replay_n3_usage_error(self, capsys):
         code, _, err = run(capsys, "replay", "--n", "3")
         assert code == 2

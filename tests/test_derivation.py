@@ -113,30 +113,30 @@ class TestFrameAlgebra:
 
     def test_flow_rules_shape(self):
         alg = build_algebra(ReplayConfig(n=6))
-        H = alg.var("H")
-        E = alg.var("E")
+        H = alg.ring.var("H")
+        E = alg.ring.var("E")
         assert alg.derivation.rule("H").as_polynomial() == E
         assert alg.derivation.rule("a").is_zero()
         # the connection-quotient rules are Riccati-type: -w^2 + curvature term
         for wname in ("w212", "w313", "w414"):
             rule = alg.derivation.rule(wname).as_polynomial()
-            wv = alg.var(wname)
+            wv = alg.ring.var(wname)
             assert rule.degree(wname) == 2
             assert (rule + wv * wv).degree(wname) == 0
 
     def test_scratch_derivation_keeps_second_derivative_free(self):
         alg = build_algebra(ReplayConfig(n=4))
-        EE = alg.var("EE")
+        EE = alg.ring.var("EE")
         assert alg.scratch_derivation.rule("E").as_polynomial() == EE
 
     def test_pinned_second_order_rule(self):
         n = 5
         alg = build_algebra(ReplayConfig(n=n))
-        H, E, w = alg.var("H"), alg.var("E"), alg.var("w414")
+        H, E, w = alg.ring.var("H"), alg.ring.var("E"), alg.ring.var("w414")
         expected = Fraction(-(n + 2), 2) * (w * E) - Fraction(n**3, 4 * (n - 2)) * H**3
         assert alg.derivation.rule("E").as_polynomial() == expected
 
     def test_derivative_of_mean_curvature_square(self):
         alg = build_algebra(ReplayConfig(n=4))
-        H, E = alg.var("H"), alg.var("E")
+        H, E = alg.ring.var("H"), alg.ring.var("E")
         assert alg.scratch_derivation.of_poly_strict(H * H) == 2 * H * E

@@ -6,11 +6,14 @@ to a nonzero rational, the resultant up to a nonzero rational).  So must the
 term accessors (one monomial's coefficient, the support cut down to some
 variables), and the product rewrite must stay in its coset of the ideal.  Every result
 is also checked to store no zero coefficient, the invariant the constructor
-keeps for all operations.  The replay's final resultants for n = 4..8 must
-equal sympy's resultant of the same two curves exactly, and each other sign
-branch's verdict must follow from sympy's resultant of that branch's curves.
+keeps for all operations.  A chain of rational-function arithmetic must
+reduce to sympy's cancelled quotient, with every gcd left to that read.  The
+replay's final resultants for n = 4..8 must equal sympy's resultant of the
+same two curves exactly, and each other sign branch's verdict must follow
+from sympy's resultant of that branch's curves.
 """
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -19,7 +22,15 @@ sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from deltahyp import Polynomial, PolynomialRing, ReplayConfig, poly_gcd, replay_all  # noqa: E402
+from deltahyp import (  # noqa: E402
+    Polynomial,
+    PolynomialRing,
+    RationalFunction,
+    ReplayConfig,
+    poly_gcd,
+    replay_all,
+)
+from deltahyp import poly as poly_module  # noqa: E402
 from deltahyp.errors import DegreeError, ExactDivisionError  # noqa: E402
 from deltahyp.resultant import resultant  # noqa: E402
 
@@ -216,3 +227,81 @@ def test_final_resultant_is_sympys(n):
     for branch in report.branches.values():
         oracle = sympy_resultant(branch.curve9, branch.curve12)
         assert branch.resultant_nonzero == (not oracle.is_zero)
+
+
+def small_polynomials():
+    # kept small: poly_gcd on the product of a long chain can run for minutes
+    exponents = st.tuples(*[st.integers(0, 2)] * len(RING.vars))
+    return st.dictionaries(exponents, COEFFS, max_size=2).map(
+        lambda terms: Polynomial(RING, terms)
+    )
+
+
+NONZERO = small_polynomials().filter(lambda p: not p.is_zero())
+
+
+def rationals():
+    return st.tuples(small_polynomials(), NONZERO).map(lambda nd: RationalFunction(*nd))
+
+
+def rf_to_sympy(rf: RationalFunction):
+    return to_sympy(rf.num).as_expr() / to_sympy(rf.den).as_expr()
+
+
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rationals(), st.lists(st.tuples(st.sampled_from(sorted(OPS)), rationals()), max_size=3),
+       NONZERO)
+def test_rational_function_normal_form(start, steps, factor):
+    ours, oracle = start, rf_to_sympy(start)
+    for op, operand in steps:
+        if op == "/" and operand.is_zero():
+            continue
+        ours = OPS[op](ours, operand)
+        oracle = OPS[op](oracle, rf_to_sympy(operand))
+    num, den = ours.reduced()
+    oracle_num, oracle_den = sympy.fraction(sympy.cancel(sympy.together(oracle)))
+    expected_num, expected_den = terms_of(poly_of(oracle_num)), terms_of(poly_of(oracle_den))
+    # the same nonzero rational carries both of sympy's parts onto ours
+    pivot = next(iter(expected_den))
+    ratio = den.terms[pivot] / expected_den[pivot]
+    assert den.terms == {m: ratio * c for m, c in expected_den.items()}
+    assert num.terms == {m: ratio * c for m, c in expected_num.items()}
+    assert den.content() == 1 and den.leading_coefficient() > 0
+    assert ours.is_polynomial() == den.is_constant()
+    if den.is_constant():
+        assert ours.as_polynomial() == num
+    # a second construction of the same value reads the same
+    other = RationalFunction(ours.num * factor, ours.den * factor)
+    assert other == ours
+    assert other.render() == ours.render()
+    assert hash(other) == hash(ours)
+
+
+def test_rational_arithmetic_defers_the_gcd_to_the_read(monkeypatch):
+    outer_calls = []
+    depth = 0
+    inner = poly_module.poly_gcd
+
+    def counting_gcd(f, g):
+        # poly_gcd recurses through the module name; count outermost calls only
+        nonlocal depth
+        if not depth:
+            outer_calls.append((f, g))
+        depth += 1
+        try:
+            return inner(f, g)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(poly_module, "poly_gcd", counting_gcd)
+    x, y = RING.var("x"), RING.var("y")
+    a = RationalFunction(x * x - y * y, x + y)
+    b = RationalFunction(y, x - y)
+    value = (a + b) * a / b - a
+    assert not value.is_zero() and value == value * b / b
+    assert not outer_calls
+    value.render()
+    assert len(outer_calls) == 1

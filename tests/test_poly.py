@@ -267,7 +267,7 @@ class TestRationalFunction:
 
     def test_of_and_render(self):
         x = RING.var("x")
-        r = RationalFunction.of(x + 1)
+        r = RationalFunction(x + 1)
         assert r.is_polynomial()
         assert "x" in r.render()
 
