@@ -222,7 +222,11 @@ def delta_invariant(
     sets, with the first minimizing subset as witness), which for n >= 2r
     is the infimum over all r-planes.  The optimizer candidate searches all
     orthonormal r-frames by projected gradient descent and is the
-    cross-check.  The smaller value wins and both are recorded.
+    cross-check.  The smaller value wins and both are recorded.  Both
+    comparisons are judged on tol * scale**2, scale = max(1, max|lambda|):
+    tau(L) is quadratic in the eigenvalues, so the optimizer's float
+    rounding grows with their square, and a value below the exact one by
+    less than that is rounding, not a better plane.
     """
     if use_optimizer and restarts < 1:
         raise ConfigError(f"the optimizer needs at least one restart, got {restarts}")
@@ -230,6 +234,7 @@ def delta_invariant(
     spectrum = list(report.principal_curvatures)
     comb_value, witness_subset = combinatorial_inf(spectrum, r)
     comb_value = float(comb_value)
+    scaled_tol = tol * max(1.0, max(abs(x) for x in spectrum)) ** 2
 
     opt_value = None
     opt_frame = None
@@ -237,7 +242,7 @@ def delta_invariant(
         value, frame = minimize_tau(A.matrix, r, restarts=restarts, seed=seed)
         opt_value, opt_frame = float(value), frame
 
-    if opt_value is not None and opt_value < comb_value - tol:
+    if opt_value is not None and opt_value < comb_value - scaled_tol:
         inf_value: float = opt_value
         witness: Union[tuple[int, ...], np.ndarray] = opt_frame
         method = "optimizer"
@@ -245,7 +250,7 @@ def delta_invariant(
         inf_value = comb_value
         witness = witness_subset
         method = "combinatorial"
-        if opt_value is not None and abs(opt_value - comb_value) <= tol:
+        if opt_value is not None and abs(opt_value - comb_value) <= scaled_tol:
             method = "both-agree"
     return DeltaResult(
         r=r,

@@ -511,6 +511,8 @@ def _pseudo_remainder(
 def _coefficient_content(coeffs: Iterable[Polynomial], ring: PolynomialRing) -> Polynomial:
     g = ring.zero()
     for c in coeffs:
+        if c.is_zero():
+            continue
         g = poly_gcd(g, c)
         if g.is_constant() and not g.is_zero():
             return ring.one()
@@ -532,7 +534,9 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         return f.primitive()
     if f.is_constant() or g.is_constant():
         return ring.one()
-    main = next(v for v in ring.vars if f.degree(v) > 0 or g.degree(v) > 0)
+    used_f, used_g = set(f.variables_used()), set(g.variables_used())
+    # a variable only one side uses goes first: the free branch peels it off
+    main = next(v for v in ring.vars if v in ((used_f ^ used_g) or used_f))
     if f.degree(main) == 0 or g.degree(main) == 0:
         # The gcd is free of the main variable: it divides the side without it
         # and the coefficient-content of the other side.
@@ -561,6 +565,74 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
             r = r.exact_div(r_cont)
         a, b = b, r
     return (pp * cont).primitive()
+
+
+# -- univariate gcd degree modulo a prime ------------------------------------------
+
+MODULUS = 2**61 - 1  # a Mersenne prime
+
+
+def residue(value: Fraction) -> int | None:
+    """``value`` mod MODULUS; None when MODULUS divides its denominator."""
+    den = value.denominator % MODULUS
+    if not den:
+        return None
+    return value.numerator * pow(den, -1, MODULUS) % MODULUS
+
+
+def residues(p: Polynomial) -> dict[tuple[int, ...], int] | None:
+    """The terms of ``p`` with their coefficients mod MODULUS, or None when
+    MODULUS divides a denominator.  Zero residues are kept, so every degree
+    read from the result is the degree of ``p``."""
+    out = {}
+    for exp, coeff in p.terms.items():
+        r = residue(coeff)
+        if r is None:
+            return None
+        out[exp] = r
+    return out
+
+
+def dense_mod_p(
+    terms: Mapping[tuple[int, ...], int],
+    ring: PolynomialRing,
+    main: str,
+    values: Mapping[str, int],
+) -> list[int]:
+    """Dense coefficient list [c_0, ..., c_d] in ``main`` of residue ``terms``
+    (as from ``residues``), every other ring variable set to its residue in
+    ``values``; d is the degree of ``terms`` in ``main``, so c_d may be 0."""
+    i = ring.index(main)
+    others = [(j, values[var]) for j, var in enumerate(ring.vars) if j != i]
+    dense = [0] * (max((exp[i] for exp in terms), default=-1) + 1)
+    for exp, coeff in terms.items():
+        for j, x in others:
+            if exp[j]:
+                coeff = coeff * pow(x, exp[j], MODULUS) % MODULUS
+        dense[exp[i]] = (dense[exp[i]] + coeff) % MODULUS
+    return dense
+
+
+def _trim(coeffs: list[int]) -> list[int]:
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def gcd_degree_mod_p(f: Sequence[int], g: Sequence[int]) -> int:
+    """Degree of gcd(f, g) over GF(MODULUS) for dense residue lists (constant
+    term first), by the Euclidean algorithm; -1 when both are zero."""
+    a, b = _trim(list(f)), _trim(list(g))
+    while b:
+        inv = pow(b[-1], -1, MODULUS)
+        while len(a) >= len(b):
+            q = a.pop() * inv % MODULUS
+            shift = len(a) - len(b) + 1
+            for k, c in enumerate(b[:-1]):
+                a[shift + k] = (a[shift + k] - q * c) % MODULUS
+            _trim(a)
+        a, b = b, a
+    return len(a) - 1
 
 
 class RationalFunction:

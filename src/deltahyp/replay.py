@@ -47,7 +47,16 @@ from typing import NoReturn, Optional
 from . import reference_forms as ref
 from .derivation import Derivation, DerivationAlgebra, ReplayConfig, build_algebra
 from .errors import CheckpointFailure, ExactDivisionError
-from .poly import Polynomial, PolynomialRing, RationalFunction, poly_gcd
+from .poly import (
+    Polynomial,
+    PolynomialRing,
+    RationalFunction,
+    dense_mod_p,
+    gcd_degree_mod_p,
+    poly_gcd,
+    residue,
+    residues,
+)
 from .resultant import resultant
 
 # Checkpoint statuses.
@@ -1027,14 +1036,47 @@ class _Pipeline:
         return weights.pop()
 
     def _consistency_spotcheck(self, c9: Polynomial, c12: Polynomial, res: Polynomial) -> None:
-        """At sample points, shared roots in beta of the curves must match zeros of res."""
+        """At sample points, shared roots in beta of the curves must match zeros of res.
+
+        A point (H0, a0) is admissible when both curves keep their beta-degree
+        there.  Each point is first decided modulo the prime P = 2^61 - 1
+        (``poly.MODULUS``).  It is settled there only when both beta-leading
+        coefficients and the resultant's value r0 are nonzero mod P, and the
+        gcd of the specialized curves over GF(P) has degree 0.  Such a point
+        is admissible and consistent:
+
+        - The specialized curves f, g have coefficients in the local ring
+          Z_(P) (no denominator is a multiple of P), and reducing them mod P
+          commutes with the specialization.  A leading coefficient nonzero
+          mod P is nonzero, so the point is admissible.
+        - Suppose f and g share a root, so gcd(f, g) over Q has degree d >= 1.
+          By Gauss's lemma over Z_(P) it has a primitive representative h in
+          Z_(P)[beta] with f = h*f1, g = h*g1, f1, g1 in Z_(P)[beta].  As P
+          does not divide lc(f) = lc(h)*lc(f1), it does not divide lc(h), so
+          h mod P has degree d and divides both f mod P and g mod P.  The
+          gcd over GF(P) then has degree >= d >= 1.  Degree 0 there proves
+          that f and g share no root.
+        - r0 nonzero mod P proves r0 nonzero, so both statuses are False.
+
+        Every other point (a leading coefficient, r0 or the gcd degree reads
+        0 mod P; or P divides a denominator of c9, c12 or res, which sends
+        every point here) takes the exact path: ``Fraction`` substitution,
+        the degree tests and ``poly_gcd`` over Q, compared with the
+        resultant's exact zero status.  The random draws do not depend on
+        the path, so both paths visit the same points.
+        """
         rng = random.Random(1_000_003 * self.n + (0 if self.cfg.a_mode == "symbolic" else 1))
+        images = [residues(p) for p in (c9, c12, res)]
+        modular = all(image is not None for image in images)
         checked = 0
         attempts = 0
         while checked < 20 and attempts < 200:
             attempts += 1
             H0 = Fraction(rng.randint(1, 60), rng.randint(1, 13))
             a0 = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+            if modular and _settled_mod_p(images, H0, a0):
+                checked += 1
+                continue
             s9 = c9.substitute("H", H0).substitute("a", a0)
             s12 = c12.substitute("H", H0).substitute("a", a0)
             if s9.degree("beta") != c9.degree("beta"):
@@ -1061,6 +1103,14 @@ class _Pipeline:
             f"specialization cross-check: {checked} sample points consistent "
             "with the resultant's vanishing locus"
         )
+
+
+def _settled_mod_p(images: list[dict], H0: Fraction, a0: Fraction) -> bool:
+    """True when the residue images of (c9, c12, res) at (H0, a0) keep both
+    beta-leading coefficients, give a nonzero r0 and coprime curves mod P."""
+    point = {"H": residue(H0), "a": residue(a0)}  # sample denominators are below 14
+    s9, s12, r0 = (dense_mod_p(image, _CURVE_RING, "beta", point) for image in images)
+    return bool(s9[-1] and s12[-1] and any(r0)) and gcd_degree_mod_p(s9, s12) == 0
 
 
 # The stage table: name -> (dependencies, method).  Dependencies are listed in

@@ -1,11 +1,16 @@
 """End-to-end CLI tests: contract examples, exit codes, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import deltahyp
 from deltahyp import reference_forms, tau_from_spectrum
 from deltahyp.cli import main
 from deltahyp.surfaces import MAX_DIMENSION
@@ -76,6 +81,29 @@ class TestContractExamples:
         payload = json.loads(out)
         assert payload["delta"]["witness"] == [0, 4]
         assert payload["exact"]["witness"] == [3, 4]
+
+    @pytest.mark.parametrize(
+        "r, spectrum, inf",
+        [(2, "10000,20000,30000,60000", 200000000), (3, "1e5,2e5,3e5,6e5", 110000000000)],
+    )
+    def test_delta_at_large_scale_reports_the_exact_minimum(self, capsys, r, spectrum, inf):
+        # the optimizer's float rounding grows with max|lambda|^2; coming
+        # within tol * scale^2 of the exact minimum from below is no win
+        code, out, _ = run(capsys, "delta", "--r", str(r), "--spectrum", spectrum)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["delta"]["inf_tau_L"] == inf
+        assert payload["delta"]["method"] != "optimizer"
+        assert payload["exact"]["inf_tau_L"] == str(inf)
+
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        code, out, _ = run(capsys, "replay", "--n", "4", "--format", "json")
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(deltahyp.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "deltahyp", "replay", "--n", "4", "--format", "json"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (done.returncode, done.stdout) == (code, out)
 
     def test_replay_n3_usage_error(self, capsys):
         code, _, err = run(capsys, "replay", "--n", "3")

@@ -205,6 +205,46 @@ def test_poly_gcd_up_to_a_unit(a, b, c):
     assert_proportional(poly_gcd(f, g), sympy.gcd(to_sympy(f), to_sympy(g)))
 
 
+UNIVARIATE = PolynomialRing(("x",))
+P = poly_module.MODULUS
+# a coefficient is a multiple of P one time in four, so a leading one often is
+P_INTEGRAL = st.builds(operator.mul, COEFFS, st.sampled_from([1, 1, 1, P]))
+
+
+def univariate(max_terms=4):
+    exponents = st.tuples(st.integers(0, 3))
+    return st.dictionaries(exponents, P_INTEGRAL, min_size=1, max_size=max_terms).map(
+        lambda terms: Polynomial(UNIVARIATE, terms)
+    )
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(univariate(), univariate(), univariate(max_terms=3), st.booleans())
+def test_gcd_degree_mod_p_bounds_the_exact_degree(a, b, c, shared):
+    # the spot check's soundness: with both leading coefficients nonzero
+    # mod P, a common factor over Q survives mod P with its degree
+    f, g = (a * c, b * c) if shared else (a, b)
+    dense = [poly_module.dense_mod_p(poly_module.residues(p), UNIVARIATE, "x", {})
+             for p in (f, g)]
+    degree = poly_module.gcd_degree_mod_p(*dense)
+    if any(map(any, dense)):
+        x = sympy.Symbol("x")
+        oracle = sympy.gcd(*(sympy.Poly(list(reversed(d)) or [0], x, modulus=P) for d in dense))
+        assert degree == oracle.degree()
+    else:
+        assert degree == -1
+    if all(d and d[-1] for d in dense):
+        assert degree >= poly_gcd(f, g).degree("x")
+
+
+def test_residues_reject_a_denominator_divisible_by_p():
+    x = UNIVARIATE.var("x")
+    assert poly_module.residues(x * 2 + 3) == {(1,): 2, (0,): 3}
+    assert poly_module.residues(x * P - 1) == {(1,): 0, (0,): P - 1}
+    assert poly_module.residue(Fraction(1, 2)) * 2 % P == 1
+    assert poly_module.residues(x * Fraction(1, P) + 1) is None
+
+
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(polynomials(max_terms=4), polynomials(max_terms=4))
 def test_resultant_up_to_a_nonzero_rational(f, g):

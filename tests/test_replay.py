@@ -31,6 +31,8 @@ from deltahyp import (
 from deltahyp import reference_forms
 from deltahyp.cli import main
 from deltahyp import replay as replay_module
+from deltahyp.poly import MODULUS
+from deltahyp.resultant import resultant
 from deltahyp.replay import (
     BRANCH_FIRST_PRINCIPLES,
     BRANCH_REPLAYED,
@@ -447,3 +449,92 @@ class TestFailureModes:
         self.add_to_curve9(monkeypatch, lambda p: p.H * p.beta)
         with pytest.raises(CheckpointFailure, match="tangency curve is not weighted-homogeneous"):
             replay_all(ReplayConfig(n=5, a_mode="numeric", a_value=Fraction(3, 2)))
+
+
+CURVE_RING = replay_module._CURVE_RING
+_H, _BETA, _A = (CURVE_RING.var(v) for v in ("H", "beta", "a"))
+# (c9, c12) pairs whose points no check mod P can settle
+FORCED_FALLBACKS = {
+    # the leading coefficient in beta is a multiple of P
+    "leading-coefficient": (MODULUS * _BETA**2 + _H * _BETA - _A, _BETA - _H),
+    # coprime over Q, yet beta = H is a shared root mod P
+    "unlucky-prime": (_BETA - _H, _BETA - _H + MODULUS),
+    # P divides a denominator: every point takes the exact path
+    "denominator": (_BETA**2 * Fraction(1, MODULUS) - _A, _BETA + _H),
+}
+
+
+class TestSpotcheck:
+    """The 20-point cross-check decides each point mod P = 2^61 - 1 first and
+    falls back to the exact gcd for every point it cannot settle there."""
+
+    @staticmethod
+    def spotcheck(c9, c12, res):
+        """Run the cross-check alone; return its note or the failure message."""
+        pipeline = replay_module._Pipeline(ReplayConfig(n=4))
+        try:
+            pipeline._consistency_spotcheck(c9, c12, res)
+        except CheckpointFailure as exc:
+            return str(exc)
+        return pipeline.notes[-1]
+
+    @staticmethod
+    def count_exact_gcds(monkeypatch):
+        calls = []
+        inner = replay_module.poly_gcd
+
+        def counting_gcd(f, g):
+            calls.append((f, g))
+            return inner(f, g)
+
+        monkeypatch.setattr(replay_module, "poly_gcd", counting_gcd)
+        return calls
+
+    def test_n4_makes_no_exact_gcd(self, monkeypatch, report4):
+        calls = self.count_exact_gcds(monkeypatch)
+        note = self.spotcheck(report4.curve9, report4.curve12, report4.final_resultant)
+        assert note.startswith("specialization cross-check: 20 sample points consistent")
+        assert calls == []
+
+    @pytest.mark.parametrize("case", sorted(FORCED_FALLBACKS))
+    @pytest.mark.parametrize("tampered", [False, True])
+    def test_forced_fallback_matches_the_exact_path(self, monkeypatch, case, tampered):
+        c9, c12 = FORCED_FALLBACKS[case]
+        res = CURVE_RING.zero() if tampered else resultant(c9, c12, "beta")
+        calls = self.count_exact_gcds(monkeypatch)
+        verdict = self.spotcheck(c9, c12, res)
+        assert len(calls) == (1 if tampered else 20)
+        monkeypatch.setattr(replay_module, "residues", lambda p: None)
+        assert verdict == self.spotcheck(c9, c12, res)
+        assert verdict.startswith(
+            "specialization cross-check failed at" if tampered
+            else "specialization cross-check: 20 sample points consistent"
+        )
+
+    def test_zero_resultant_fails(self, report4):
+        with pytest.raises(CheckpointFailure, match="resultant-zero status True"):
+            replay_module._Pipeline(ReplayConfig(n=4))._consistency_spotcheck(
+                report4.curve9, report4.curve12, CURVE_RING.zero()
+            )
+
+    def test_shared_factor_fails(self, report4):
+        factor = CURVE_RING.parse("beta - 2*H")
+        with pytest.raises(CheckpointFailure, match="shared-root status True"):
+            replay_module._Pipeline(ReplayConfig(n=4))._consistency_spotcheck(
+                report4.curve9 * factor, report4.curve12 * factor, report4.final_resultant
+            )
+
+    def test_tampered_resultant_exits_three(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(
+            replay_module._Pipeline, "_final_resultant", lambda self, c9, c12: c9.ring.zero()
+        )
+        out = tmp_path / "partial.json"
+        code = main(["replay", "--n", "4", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "checkpoint failure: specialization cross-check failed at" in err
+        partial = json.loads(out.read_text(encoding="utf-8"))
+        assert partial["verdict"] == "inconclusive"
+        assert partial["final_resultant"] == "0"
+        assert partial["checkpoints"][-1]["id"] == "3.65"
+        assert f"partial report: {len(partial['checkpoints'])} checkpoint(s) passed" in err
