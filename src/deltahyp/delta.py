@@ -207,6 +207,13 @@ def delta_from_spectrum(spectrum: list[Number], r: int) -> tuple[Number, Number,
 # -- floating-point operations ------------------------------------------------------
 
 
+def _quadratic_tol(spectrum, tol: float) -> float:
+    """tol * scale**2, scale = max(1, max|lambda|): the tolerance of a
+    quantity quadratic in the eigenvalues, whose float rounding grows with
+    their square (delta(r), tau(L) and the gap to the universal bound)."""
+    return tol * max(1.0, max(abs(x) for x in spectrum)) ** 2
+
+
 def delta_invariant(
     A: ShapeOperator,
     r: int,
@@ -223,10 +230,10 @@ def delta_invariant(
     is the infimum over all r-planes.  The optimizer candidate searches all
     orthonormal r-frames by projected gradient descent and is the
     cross-check.  The smaller value wins and both are recorded.  Both
-    comparisons are judged on tol * scale**2, scale = max(1, max|lambda|):
-    tau(L) is quadratic in the eigenvalues, so the optimizer's float
-    rounding grows with their square, and a value below the exact one by
-    less than that is rounding, not a better plane.
+    comparisons are judged on ``_quadratic_tol``: tau(L) is quadratic in the
+    eigenvalues, so the optimizer's float rounding grows with their square,
+    and a value below the exact one by less than that is rounding, not a
+    better plane.
     """
     if use_optimizer and restarts < 1:
         raise ConfigError(f"the optimizer needs at least one restart, got {restarts}")
@@ -234,7 +241,7 @@ def delta_invariant(
     spectrum = list(report.principal_curvatures)
     comb_value, witness_subset = combinatorial_inf(spectrum, r)
     comb_value = float(comb_value)
-    scaled_tol = tol * max(1.0, max(abs(x) for x in spectrum)) ** 2
+    scaled_tol = _quadratic_tol(spectrum, tol)
 
     opt_value = None
     opt_frame = None
@@ -280,7 +287,11 @@ def ideality_gap(
     tol: float = DEFAULT_TOL,
     use_optimizer: bool = True,
 ) -> dict:
-    """Gap between the universal bound and delta(r); ideal when the gap closes."""
+    """Gap between the universal bound and delta(r); ideal when the gap closes.
+
+    Both terms are quadratic in the eigenvalues, so the gap is judged on
+    ``_quadratic_tol``, as ``delta_invariant`` judges the optimizer.
+    """
     result = delta_invariant(
         A, r, restarts=restarts, seed=seed, tol=tol, use_optimizer=use_optimizer
     )
@@ -291,7 +302,7 @@ def ideality_gap(
         "delta": result.delta,
         "bound": bound,
         "gap": gap,
-        "ideal": abs(gap) <= tol,
+        "ideal": abs(gap) <= _quadratic_tol(result.spectrum.principal_curvatures, tol),
         "result": result,
     }
 

@@ -4,17 +4,21 @@ The resultant of two polynomials with respect to one variable is the
 determinant of their Sylvester matrix, built with the rows of the first
 operand on top (this fixes the sign convention).
 
-The determinant is computed by evaluation and interpolation, never on
+Determinants are computed by evaluation and interpolation, never on
 polynomial entries.  Each row is scaled by the lcm of its coefficient
 denominators, so every entry has integer coefficients.  The determinant's
 degree in each variable that occurs is bounded by the smaller of the row and
 column sums of the entries' degrees.  The integer matrix is evaluated at every
-point of the grid 0..bound (one axis per variable), and a fraction-free
-Bareiss elimination on plain ``int``s gives each value; its divisions are
-exact.  Integer forward differences interpolate the values in Newton form,
-which is converted to monomials, and one division by the row scales gives the
-rational determinant.  A naive cofactor expansion on polynomial entries is
-kept as a cross-checking oracle for small matrices.
+point of the grid 0..bound (one axis per variable), and each value is exact:
+``det_bareiss`` runs a fraction-free Bareiss elimination on plain ``int``s.
+``resultant`` clears each operand's denominators once, since
+Res(lf, mg) = l^deg g * m^deg f * Res(f, g), and takes each value from the
+two evaluated coefficient lists by an integer subresultant PRS
+(``_int_resultant``).  All divisions in both kernels are exact.  Integer
+forward differences interpolate the values in Newton form, which is converted
+to monomials, and one division by the scale gives the rational determinant.
+A naive cofactor expansion on polynomial entries is kept as a cross-checking
+oracle for small matrices.
 """
 
 from __future__ import annotations
@@ -27,32 +31,25 @@ from .errors import DegreeError
 from .poly import Polynomial
 
 
+def _sylvester_rows(fc: list, gc: list, zero) -> list[list]:
+    """Sylvester rows of two descending coefficient lists, f-rows first."""
+    m, n = len(fc) - 1, len(gc) - 1
+    return ([[zero] * shift + fc + [zero] * (n - 1 - shift) for shift in range(n)]
+            + [[zero] * shift + gc + [zero] * (m - 1 - shift) for shift in range(m)])
+
+
 def sylvester_matrix(f: Polynomial, g: Polynomial, var: str) -> list[list[Polynomial]]:
     """Sylvester matrix of f and g in ``var``; f-rows first."""
     if f.ring != g.ring:
         raise DegreeError("operands live in different rings")
-    m = f.degree(var)
-    n = g.degree(var)
-    if m < 1 or n < 1:
+    if f.degree(var) < 1 or g.degree(var) < 1:
         raise DegreeError(
             "resultant requires positive degree in the eliminated variable; "
             "handle constant operands separately"
         )
-    ring = f.ring
-    zero = ring.zero()
     # descending coefficient lists: [lead, ..., constant]
-    fc = f.coefficients_in(var)[::-1]
-    gc = g.coefficients_in(var)[::-1]
-    size = m + n
-    rows: list[list[Polynomial]] = []
-    for shift in range(n):
-        row = [zero] * shift + fc + [zero] * (n - 1 - shift)
-        rows.append(row)
-    for shift in range(m):
-        row = [zero] * shift + gc + [zero] * (m - 1 - shift)
-        rows.append(row)
-    assert all(len(r) == size for r in rows)
-    return rows
+    return _sylvester_rows(f.coefficients_in(var)[::-1], g.coefficients_in(var)[::-1],
+                           f.ring.zero())
 
 
 def _int_det(m: list[list[int]]) -> int:
@@ -80,6 +77,68 @@ def _int_det(m: list[list[int]]) -> int:
     return sign * m[size - 1][size - 1]
 
 
+def _int_resultant(f: list[int], g: list[int]) -> int:
+    """Sylvester resultant of two integer polynomials, f-rows first.
+
+    ``f`` and ``g`` are descending coefficient lists of formal degrees
+    m = len(f) - 1 and n = len(g) - 1; the value is the determinant of their
+    (m + n)-square Sylvester matrix, so a vanishing leading coefficient is
+    allowed.  A formal degree that drops is taken out first, expanding the
+    determinant along its first column:
+      - if both leading coefficients vanish (m, n >= 1), that column is zero
+        and the value is 0;
+      - if f's drops by k, the value is (-1)^(n*k) * lc(g)^k * Res(f, g);
+      - if g's drops by k, the value is lc(f)^k * Res(f, g);
+    with Res(f, g) taken at the lower degree (a zero polynomial keeps its
+    constant slot).  Res(c, g) = c^n and Res(f, c) = c^m for constants.
+    With both leading coefficients nonzero, the subresultant PRS of Collins
+    (J. ACM 14, 1967) and Brown & Traub (J. ACM 18, 1971), as in Cohen, GTM
+    138, Alg. 3.3.7 without the content step, gives the value with exact
+    divisions; it holds for non-normal sequences (degree gaps of 2 or more).
+    """
+    m, n = len(f) - 1, len(g) - 1
+    k = next((i for i, c in enumerate(f) if c), m)
+    j = next((i for i, c in enumerate(g) if c), n)
+    if k and j:
+        return 0
+    if k:
+        return (-1) ** (n * k) * g[0] ** k * _int_resultant(f[k:], g)
+    if j:
+        return f[0] ** j * _int_resultant(f, g[j:])
+    if not m:
+        return f[0] ** n
+    if not n:
+        return g[0] ** m
+    sign = 1
+    if m < n:
+        f, g, m, n = g, f, n, m
+        if m & n & 1:
+            sign = -sign
+    lead, h = 1, 1
+    while n:
+        delta = m - n
+        if m & n & 1:
+            sign = -sign
+        # pseudo-remainder lc(g)^(delta+1) * f mod g, then divided by lead * h^delta
+        lc = g[0]
+        r = list(f)
+        for i in range(delta + 1):
+            c = r[i]
+            r[i + 1 :] = [lc * a - c * b for a, b in zip(r[i + 1 :], g[1:])] + [
+                lc * a for a in r[i + n + 1 :]]
+        r = r[delta + 1 :]
+        top = next((i for i, c in enumerate(r) if c), None)
+        if top is None:
+            return 0
+        divisor = lead * h**delta
+        f, m = g, n
+        g = [c // divisor for c in r[top:]]
+        n = len(g) - 1
+        lead = f[0]
+        h = lead**delta // h ** (delta - 1) if delta else h
+    return sign * g[0] ** m // h ** (m - 1)
+
+
 def _newton_to_monomial(values: list[int]) -> list[int]:
     """Coefficients c_0..c_d of the integer polynomial taking ``values`` at 0..d.
 
@@ -105,26 +164,31 @@ def _newton_to_monomial(values: list[int]) -> list[int]:
     return coeffs
 
 
-def det_bareiss(matrix: list[list[Polynomial]]) -> Polynomial:
-    """Exact determinant of a polynomial matrix by evaluation and interpolation."""
-    if not matrix:
-        raise ValueError("empty matrix")
-    ring = matrix[0][0].ring
-    width = len(ring.vars)
-    used = sorted({i for row in matrix for p in row for exp in p.terms for i in range(width)
-                   if exp[i]})
-    # entries as ((exponents in the used variables, integer coefficient), ...),
-    # each row scaled by the lcm of its denominators
-    scale = 1
-    rows: list[list[tuple]] = []
-    for row in matrix:
-        lcm = math.lcm(*(c.denominator for p in row for c in p.terms.values()))
-        scale *= lcm
-        rows.append([
-            tuple((tuple(exp[i] for i in used), c.numerator * (lcm // c.denominator))
-                  for exp, c in p.terms.items())
-            for p in row
-        ])
+def _cleared(polys: list[Polynomial], used: list[int]) -> tuple[int, list[tuple]]:
+    """The lcm of the coefficient denominators of ``polys``, and each polynomial
+    times it as ((exponents in the used variables, integer coefficient), ...)."""
+    lcm = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return lcm, [
+        tuple((tuple(exp[i] for i in used), c.numerator * (lcm // c.denominator))
+              for exp, c in p.terms.items())
+        for p in polys
+    ]
+
+
+def _used(polys: list[Polynomial]) -> list[int]:
+    """Indices of the ring variables that occur in ``polys``."""
+    return sorted({i for p in polys for exp in p.terms for i, e in enumerate(exp) if e})
+
+
+def _interpolated(ring, used: list[int], rows: list[list[tuple]], scale: int,
+                  value_at) -> Polynomial:
+    """The determinant of the integer-entry ``rows`` divided by ``scale``.
+
+    Each row entry is ((exponents in the ``used`` variables, integer
+    coefficient), ...).  ``value_at(at, slots)`` is the integer determinant at
+    one grid point: ``at`` holds the values of the distinct entries there and
+    ``slots[i][j]`` is the index in ``at`` of entry (i, j).
+    """
     # a zero row or column makes the determinant zero; otherwise bound the
     # degree in each variable by the row sum and the column sum of the
     # entries' degrees
@@ -135,15 +199,18 @@ def det_bareiss(matrix: list[list[Polynomial]]) -> Polynomial:
         degrees = [[max((exp[axis] for exp, _ in entry), default=0) for entry in row]
                    for row in rows]
         bounds.append(min(sum(map(max, degrees)), sum(map(max, zip(*degrees)))))
-    # one integer determinant per grid point; a Sylvester matrix repeats its
-    # entries along the diagonals, so each distinct entry is evaluated once
+    # a Sylvester matrix repeats its entries along the diagonals, so each
+    # distinct entry is evaluated once per point, and each distinct monomial
     distinct: dict[tuple, int] = {}
     slots = [[distinct.setdefault(entry, len(distinct)) for entry in row] for row in rows]
+    monomials: dict[tuple, int] = {}
+    entries = [[(monomials.setdefault(exp, len(monomials)), c) for exp, c in entry]
+               for entry in distinct]
     values: dict[tuple[int, ...], int] = {}
     for point in product(*(range(b + 1) for b in bounds)):
-        at = [sum(c * math.prod(x**e for x, e in zip(point, exp)) for exp, c in entry)
-              for entry in distinct]
-        values[point] = _int_det([[at[k] for k in row] for row in slots])
+        mono = [math.prod(x**e for x, e in zip(point, exp)) for exp in monomials]
+        at = [sum(c * mono[k] for k, c in entry) for entry in entries]
+        values[point] = value_at(at, slots)
     # interpolate one axis at a time: grid indices become exponents
     for axis, bound in enumerate(bounds):
         lines: dict[tuple[int, ...], list[int]] = {}
@@ -156,6 +223,7 @@ def det_bareiss(matrix: list[list[Polynomial]]) -> Polynomial:
             for e, c in enumerate(_newton_to_monomial(line))
         }
     terms = {}
+    width = len(ring.vars)
     for point, value in values.items():
         if value:
             exp = [0] * width
@@ -163,6 +231,22 @@ def det_bareiss(matrix: list[list[Polynomial]]) -> Polynomial:
                 exp[i] = e
             terms[tuple(exp)] = Fraction(value, scale)
     return Polynomial(ring, terms)
+
+
+def det_bareiss(matrix: list[list[Polynomial]]) -> Polynomial:
+    """Exact determinant of a polynomial matrix by evaluation and interpolation."""
+    if not matrix:
+        raise ValueError("empty matrix")
+    used = _used([p for row in matrix for p in row])
+    # each row scaled by the lcm of its denominators
+    scale = 1
+    rows = []
+    for row in matrix:
+        lcm, entries = _cleared(row, used)
+        scale *= lcm
+        rows.append(entries)
+    return _interpolated(matrix[0][0].ring, used, rows, scale,
+                         lambda at, slots: _int_det([[at[k] for k in row] for row in slots]))
 
 
 def det_cofactor(matrix: list[list[Polynomial]]) -> Polynomial:
@@ -186,8 +270,18 @@ def det_cofactor(matrix: list[list[Polynomial]]) -> Polynomial:
 def resultant(f: Polynomial, g: Polynomial, var: str, *, method: str = "bareiss") -> Polynomial:
     """Resultant of f and g in ``var`` (free of ``var`` in the result)."""
     matrix = sylvester_matrix(f, g, var)
-    if method == "bareiss":
-        return det_bareiss(matrix)
     if method == "naive":
         return det_cofactor(matrix)
-    raise ValueError(f"unknown resultant method {method!r}")
+    if method != "bareiss":
+        raise ValueError(f"unknown resultant method {method!r}")
+    # the first f-row and the first g-row are the descending coefficient lists
+    m, n = f.degree(var), g.degree(var)
+    fc, gc = matrix[0][: m + 1], matrix[n][: n + 1]
+    used = _used(fc + gc)
+    lf, fi = _cleared(fc, used)
+    lg, gi = _cleared(gc, used)
+    return _interpolated(
+        f.ring, used, _sylvester_rows(fi, gi, ()), lf**n * lg**m,
+        lambda at, slots: _int_resultant([at[k] for k in slots[0][: m + 1]],
+                                         [at[k] for k in slots[n][: n + 1]]),
+    )

@@ -96,6 +96,21 @@ class TestContractExamples:
         assert payload["delta"]["method"] != "optimizer"
         assert payload["exact"]["inf_tau_L"] == str(inf)
 
+    @pytest.mark.parametrize("scale", [1e3, 1e5])
+    def test_ideal_matrix_at_large_scale(self, capsys, tmp_path, scale):
+        # the gap to the bound is quadratic in the eigenvalues, so its float
+        # rounding (6.1e-05 at scale 1e5) is judged on tol * max|lambda|^2
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+        matrix = q @ np.diag([1.0, 2.0, 3.0, 6.0]) @ q.T * scale
+        path = tmp_path / "rotated.json"
+        path.write_text(json.dumps({"n": 4, "matrix": ((matrix + matrix.T) / 2).tolist()}),
+                        encoding="utf-8")
+        code, out, _ = run(capsys, "ideal", "--r", "3", "--matrix", str(path))
+        payload = json.loads(out)
+        assert payload["pattern"] is not None
+        assert payload["ideal"] is True
+        assert code == 0
+
     def test_python_dash_m_runs_the_cli(self, capsys):
         code, out, _ = run(capsys, "replay", "--n", "4", "--format", "json")
         env = dict(os.environ, PYTHONPATH=str(pathlib.Path(deltahyp.__file__).parents[1]))

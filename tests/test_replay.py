@@ -7,6 +7,7 @@ the package itself).
 """
 
 import hashlib
+import importlib
 import json
 import pathlib
 from fractions import Fraction
@@ -32,7 +33,7 @@ from deltahyp import reference_forms
 from deltahyp.cli import main
 from deltahyp import replay as replay_module
 from deltahyp.poly import MODULUS
-from deltahyp.resultant import resultant
+from deltahyp.resultant import det_bareiss, resultant, sylvester_matrix
 from deltahyp.replay import (
     BRANCH_FIRST_PRINCIPLES,
     BRANCH_REPLAYED,
@@ -462,6 +463,44 @@ FORCED_FALLBACKS = {
     # P divides a denominator: every point takes the exact path
     "denominator": (_BETA**2 * Fraction(1, MODULUS) - _A, _BETA + _H),
 }
+
+
+class TestFinalResultantKernel:
+    """The final resultant takes each grid point from the two curves'
+    coefficient lists (a subresultant PRS), never from a Bareiss determinant."""
+
+    def test_replay_makes_no_bareiss_determinant(self, monkeypatch, capsys):
+        # ``deltahyp.resultant`` as an attribute is the re-exported function
+        module = importlib.import_module("deltahyp.resultant")
+        calls = []
+        inner = module._int_det
+
+        def counting_det(matrix):
+            calls.append(len(matrix))
+            return inner(matrix)
+
+        monkeypatch.setattr(module, "_int_det", counting_det)
+        assert main(["replay", "--n", "4"]) == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_final_resultants_equal_the_bareiss_determinant(self, monkeypatch, n):
+        taken = []
+
+        def recording(f, g, var, **kwargs):
+            value = resultant(f, g, var, **kwargs)
+            if var == "beta":
+                taken.append((f, g, value))
+            return value
+
+        monkeypatch.setattr(replay_module, "resultant", recording)
+        report = replay_all(ReplayConfig(n=n))
+        # one per branch: the replayed one and the first-principles one
+        assert len(taken) == 1 + len(report.branches) == 2
+        for f, g, value in taken:
+            assert f.support(("H",)) == g.support(("H",)) == {(0,)}  # taken at H = 1
+            assert value == det_bareiss(sylvester_matrix(f, g, "beta"))
+            assert not value.is_zero()
 
 
 class TestSpotcheck:

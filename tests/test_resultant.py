@@ -7,7 +7,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from deltahyp import DegreeError, Polynomial, PolynomialRing, poly_gcd
-from deltahyp.resultant import det_bareiss, det_cofactor, resultant, sylvester_matrix
+from deltahyp.resultant import (
+    _int_det,
+    _int_resultant,
+    det_bareiss,
+    det_cofactor,
+    resultant,
+    sylvester_matrix,
+)
 
 RING = PolynomialRing(("t", "s"))
 T = RING.var("t")
@@ -33,6 +40,12 @@ class TestSylvesterMatrix:
     def test_rejects_constant_operand(self):
         with pytest.raises(DegreeError):
             sylvester_matrix(T + 1, RING.one() + S, "t")
+
+    @pytest.mark.parametrize("method", ["bareiss", "naive"])
+    def test_resultant_rejects_constant_operand(self, method):
+        for f, g in ((T + 1, RING.one() + S), (S * 3, T**2 - S)):
+            with pytest.raises(DegreeError):
+                resultant(f, g, "t", method=method)
 
 
 class TestDeterminants:
@@ -116,6 +129,110 @@ def test_resultant_equals_naive_with_two_variables_left(data):
     g = data.draw(polys.filter(lambda p: p.degree("x") >= 1))
     assume({"y", "z"} <= set(f.variables_used() + g.variables_used()))
     assert resultant(f, g, "x") == resultant(f, g, "x", method="naive")
+
+
+def _int_mul(a, b):
+    """Product of two descending integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _sylvester_det(f, g):
+    """Bareiss determinant of the integer Sylvester matrix, f-rows first."""
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * i + f + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + g + [0] * (m - 1 - i) for i in range(m)]
+    return _int_det(rows) if rows else 1
+
+
+@st.composite
+def coefficient_lists(draw):
+    """Two descending integer coefficient lists of formal degrees 0..7.
+
+    The shapes cover what a grid point can hand the kernel: vanishing leading
+    coefficients on one side or both, a drop to degree 0, a zero polynomial,
+    a shared factor (value 0) and sparse operands, whose PRS skips degrees
+    (non-normal sequences).
+    """
+    shape = draw(st.sampled_from(
+        ("dense", "f-drops", "g-drops", "both-drop", "to-constant", "zero", "shared", "sparse")))
+    ints = st.integers(-9, 9)
+    if shape == "shared":
+        common = draw(st.lists(ints, min_size=2, max_size=3).filter(lambda c: c[0]))
+        f = _int_mul(draw(st.lists(ints, min_size=1, max_size=5)), common)
+        g = _int_mul(draw(st.lists(ints, min_size=1, max_size=5)), common)
+        return f, g
+    coeffs = (st.sampled_from([0, 0, 0, 1, -1, 2, -3]) if shape == "sparse" else ints)
+    f = draw(st.lists(coeffs, min_size=1, max_size=8))
+    g = draw(st.lists(coeffs, min_size=1, max_size=8))
+    if shape == "sparse":
+        f[0], g[0] = draw(ints.filter(bool)), draw(ints.filter(bool))
+    if shape in ("f-drops", "both-drop"):
+        k = draw(st.integers(1, len(f)))
+        f[:k] = [0] * k
+    if shape in ("g-drops", "both-drop"):
+        k = draw(st.integers(1, len(g)))
+        g[:k] = [0] * k
+    if shape == "to-constant":
+        f = [0] * (len(f) - 1) + [draw(ints)]
+    if shape == "zero":
+        g = [0] * len(g)
+    return f, g
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(coefficient_lists())
+def test_prs_equals_the_sylvester_determinant(pair):
+    f, g = pair
+    assert _int_resultant(f, g) == _sylvester_det(f, g)
+
+
+class TestIntResultant:
+    def test_non_normal_sequence(self):
+        # x^5 + 2x^2 + 1 mod x^3 + 2 is 1: the remainder skips degrees 2 and 1
+        f, g = [1, 0, 0, 2, 0, 1], [1, 0, 0, 2]
+        assert _int_resultant(f, g) == _sylvester_det(f, g) != 0
+        assert _int_resultant(g, f) == _sylvester_det(g, f)
+
+    def test_formal_degree_drops(self):
+        f, g = [3, 1, 4], [2, 7]
+        # f's formal degree drops by 1 and by 2; g's by 1; both at once
+        assert _int_resultant([0] + f, g) == (-1) ** 1 * 2 * _int_resultant(f, g)
+        assert _int_resultant([0, 0] + f, [0] + g) == 0
+        assert _int_resultant(f, [0, 0] + g) == 3**2 * _int_resultant(f, g)
+        for a, b in (([0] + f, g), ([0, 0, 0] + f, [5] + g), (f, [0, 0] + g)):
+            assert _int_resultant(a, b) == _sylvester_det(a, b)
+
+    def test_constants_and_zero(self):
+        assert _int_resultant([0, 0, 5], [1, 2, 3]) == 5**2
+        assert _int_resultant([1, 2, 3], [0, 0, 5]) == 5**2
+        assert _int_resultant([0, 0, 0], [1, 2]) == 0
+        assert _int_resultant([0, 0, 0], [7]) == 7**2
+
+
+GRID_RING = PolynomialRing(("x", "y", "z"))
+X, Y, Z = (GRID_RING.var(v) for v in ("x", "y", "z"))
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        # lc(f) = y(y - 2) vanishes at the grid points y = 0 and y = 2
+        (Y * (Y - 2) * X**2 + X + Y, X**3 + (Y + 1) * X - 3),
+        # both leads vanish at y = 2; f drops to degree 0 at y = 0
+        (Y * (Y - 2) * X**2 + Fraction(1, 3) * X * Y + 5, (Y - 2) * X**2 + X - Y),
+        # g's lead vanishes on the line z = y and f's at y = 1, two variables left
+        ((Y - 1) * X**3 + Z * X - 1, (Z - Y) * X**2 + Fraction(2, 5) * Y * X + Z),
+        # f's lead vanishes at y = 0 and y = 1, with a gap in the degrees
+        (Y * (Y - 1) * X**4 + X + 2, Y * X**2 - 1),
+    ],
+)
+def test_resultant_with_vanishing_leading_coefficients(f, g):
+    assert resultant(f, g, "x") == resultant(f, g, "x", method="naive")
+    assert resultant(g, f, "x") == resultant(g, f, "x", method="naive")
 
 
 class TestResultantValues:
