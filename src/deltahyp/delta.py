@@ -237,6 +237,8 @@ def delta_invariant(
     """
     if use_optimizer and restarts < 1:
         raise ConfigError(f"the optimizer needs at least one restart, got {restarts}")
+    if use_optimizer and seed < 0:
+        raise ConfigError(f"the optimizer seed must be non-negative, got {seed}")
     report = curvature_report(A)
     spectrum = list(report.principal_curvatures)
     comb_value, witness_subset = combinatorial_inf(spectrum, r)

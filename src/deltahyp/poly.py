@@ -677,9 +677,10 @@ class RationalFunction:
         return self.den.divides(self.num)
 
     def as_polynomial(self) -> Polynomial:
-        if not self.is_polynomial():
-            raise ValueError(f"not a polynomial: {self.render()}")
-        return self.num.exact_div(self.den)
+        try:
+            return self.num.exact_div(self.den)
+        except ExactDivisionError:
+            raise ValueError(f"not a polynomial: {self.render()}") from None
 
     def _coerce(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):

@@ -254,6 +254,11 @@ MALFORMED_INPUT = {
         None,
         "at least one restart",
     ),
+    "negative-seed": (
+        ["delta", "--r", "2", "--spectrum", "1,2,3,6", "--seed", "-1"],
+        None,
+        "seed must be non-negative",
+    ),
     **{
         f"{label}-tol-{argv[0]}": (argv + ["--tol", value], None, "--tol must be finite")
         for argv in (
@@ -349,6 +354,13 @@ class TestDeterminism:
     def test_bad_env_seed_exits_two(self, capsys, monkeypatch):
         monkeypatch.setenv("DELTAHYP_SEED", "not-a-number")
         assert run(capsys, "delta", "--r", "2", "--spectrum", "1,2,3")[0] == 2
+
+    def test_negative_env_seed_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("DELTAHYP_SEED", "-3")
+        code, out, err = run(capsys, "ideal", "--r", "3", "--spectrum", "1,2,3,6")
+        assert code == 2
+        assert err.startswith("error:") and "seed must be non-negative" in err
+        assert "Traceback" not in err and out == ""
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

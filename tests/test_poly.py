@@ -242,6 +242,24 @@ class TestRationalFunction:
         assert (s * x).is_polynomial()
         assert (s * x).as_polynomial() == RING.one()
 
+    def test_as_polynomial_divides_once(self, monkeypatch):
+        x, y = RING.var("x"), RING.var("y")
+        calls = []
+        exact_div = Polynomial.exact_div
+
+        def counting_exact_div(self, divisor):
+            calls.append(divisor)
+            return exact_div(self, divisor)
+
+        monkeypatch.setattr(Polynomial, "exact_div", counting_exact_div)
+        assert RationalFunction(x**2 - y**2, x + y).as_polynomial() == x - y
+        assert len(calls) == 1
+
+    def test_as_polynomial_rejects_a_proper_quotient(self):
+        x, y = RING.var("x"), RING.var("y")
+        with pytest.raises(ValueError, match="not a polynomial"):
+            RationalFunction(x + 1, x - y).as_polynomial()
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             RationalFunction(RING.one(), RING.zero())

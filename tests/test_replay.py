@@ -17,7 +17,9 @@ import pytest
 from deltahyp import (
     CheckpointFailure,
     ConfigError,
+    RationalFunction,
     ReplayConfig,
+    build_algebra,
     canonical_dumps,
     derive_first_integrals,
     derive_master_equations,
@@ -110,6 +112,49 @@ class TestOmegaIdentities:
     def test_residues_zero_across_dimensions(self, n):
         proof = verify_omega_identities(ReplayConfig(n=n))
         assert all(res == "0" for res in proof.residues.values())
+
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_given_relations_are_the_two_product_forms(self, n):
+        cfg = ReplayConfig(n=n)
+        alg = build_algebra(cfg)
+        ring, c1, c2 = alg.ring, alg.c1, alg.c2
+        H, beta, h = ring.var("H"), ring.var("beta"), ring.var("h")
+        u, v, w = ring.var("w212"), ring.var("w313"), ring.var("w414")
+        B1, B2, B3 = beta + c1 * H, beta - (c1 + c2) * H, 2 * beta - c2 * H
+        q_23, q_2j3 = RationalFunction(-h, B1), RationalFunction(h, B1)
+        q_32, q_3j2 = RationalFunction(h, B2), RationalFunction(-h, B2)
+        q_j23, q_j32 = RationalFunction(h, B3), RationalFunction(-h, B3)
+        # (tag, polynomial part, product p, skew product s, weight): the given
+        # relation (3.34)-(3.36) is base - weight p + weight s, its pair
+        # residue -p - s
+        rows = [
+            ("3.42", -(w * u) - (c1 + c2) * (beta * H),
+             q_2j3 * q_j32, (q_j23 - q_2j3) * q_3j2, 1),
+            ("3.43", -(w * v) - (c1 + c2) * (H * (c2 * H - beta)),
+             q_3j2 * q_j23, (q_j32 - q_3j2) * q_2j3, 1),
+            ("3.44", -(v * u) - beta * (c2 * H - beta),
+             q_23 * q_3j2, (q_32 - q_23) * q_j32, Fraction(n - 3)),
+        ]
+        relations = verify_omega_identities(cfg).relations
+        for tag, base, p, s, weight in rows:
+            given = RationalFunction(base) - weight * p + weight * s
+            num, den = relations[tag][1:-1].split(") / (")
+            derived = RationalFunction(ring.parse(num), ring.parse(den))
+            assert given == derived
+            assert derived - given == weight * (-p - s)
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_omega_reduces_each_residue_and_relation_once(self, monkeypatch, n):
+        calls = []
+        reduced = RationalFunction.reduced
+
+        def counting_reduced(self):
+            calls.append(self)
+            return reduced(self)
+
+        monkeypatch.setattr(RationalFunction, "reduced", counting_reduced)
+        verify_omega_identities(ReplayConfig(n=n))
+        assert len(calls) == 7  # four residues, three two-product relations
 
 
 class TestLemma32:
@@ -381,6 +426,13 @@ class TestFailureModes:
         ]
         assert report.branches == {}
         assert report.verdict == VERDICT_INCONCLUSIVE
+
+    def test_quotient_that_kept_a_denominator_halts(self):
+        pipeline = replay_module._Pipeline(ReplayConfig(n=4))
+        with pytest.raises(CheckpointFailure) as err:
+            pipeline._as_polynomial(RationalFunction(pipeline.beta, pipeline.H), "relation")
+        assert str(err.value) == "relation kept a denominator: (beta) / (H)"
+        assert err.value.report.verdict == VERDICT_INCONCLUSIVE
 
     def test_curve_constant_in_beta_halts_with_partial_report(self, monkeypatch):
         # a prolonged curve that has lost beta cannot be eliminated: the replay
