@@ -300,9 +300,9 @@ def _cmd_delta(args) -> int:
     if exact is not None:
         exact_delta, exact_inf, witness = delta_from_spectrum(exact, args.r)
         payload["exact"] = {
-            "tau": str(exact_delta + exact_inf),
-            "delta": str(exact_delta),
-            "inf_tau_L": str(exact_inf),
+            "tau": exact_delta + exact_inf,
+            "delta": exact_delta,
+            "inf_tau_L": exact_inf,
             "witness": list(witness),
         }
     lines = [

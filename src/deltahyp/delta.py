@@ -14,10 +14,13 @@ import numpy as np
 from .errors import ConfigError, GeometryError
 from .shape import ShapeOperator, SpectrumReport, curvature_report
 from .stiefel import minimize_tau
+from .surfaces import MAX_DIMENSION
 
 DEFAULT_TOL = 1e-8
 DEFAULT_RESTARTS = 32
 DEFAULT_SEED = 20240
+#: The default run's frame stack at the largest operator: the cap on restarts * n * r.
+MAX_FRAME_ENTRIES = DEFAULT_RESTARTS * MAX_DIMENSION * (MAX_DIMENSION - 1)
 
 Number = Union[int, float, Fraction]
 
@@ -239,6 +242,8 @@ def delta_invariant(
         raise ConfigError(f"the optimizer needs at least one restart, got {restarts}")
     if use_optimizer and seed < 0:
         raise ConfigError(f"the optimizer seed must be non-negative, got {seed}")
+    if use_optimizer and restarts * A.n * r > MAX_FRAME_ENTRIES:
+        raise ConfigError(f"the optimizer's restarts * n * r must be at most {MAX_FRAME_ENTRIES}")
     report = curvature_report(A)
     spectrum = list(report.principal_curvatures)
     comb_value, witness_subset = combinatorial_inf(spectrum, r)

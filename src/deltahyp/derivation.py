@@ -98,7 +98,6 @@ class DerivationAlgebra:
     ring: PolynomialRing
     c1: Fraction
     c2: Fraction
-    derivation: Derivation = field(repr=False)
     scratch_derivation: Derivation = field(repr=False)
 
 
@@ -112,10 +111,11 @@ def build_algebra(cfg: ReplayConfig) -> DerivationAlgebra:
       D(w313) = -w313^2 - c1*H*(c2*H - beta)
       D(w414) = -w414^2 - c1*(c1+c2)*H^2
       D(a)    = 0
-      D(E)    = -(n+2)/2 * w414*E - n^3/(4(n-2)) * H^3   (pinned second-order form)
+      D(E)    = EE
 
-    The scratch derivation leaves D(E) = EE free; it is what the master-stage
-    assembly uses before the second-order form is established.
+    D(E) is left free as EE: the replay derives the second-order form
+    D(E) = -(n+2)/2 * w414*E - n^3/(4(n-2)) * H^3 as its second master
+    equation, checked against ``reference_forms.master_B`` at checkpoint 3.55.
     """
     n = cfg.n
     ring = PolynomialRing(FRAME_VARS)
@@ -125,25 +125,20 @@ def build_algebra(cfg: ReplayConfig) -> DerivationAlgebra:
     c2 = Fraction(n * n, 2 * (n - 2))
     lam3 = c2 * H - beta
 
-    base_rules: dict[str, Polynomial] = {
+    rules: dict[str, Polynomial] = {
         "H": E,
         "beta": (c1 * H - beta) * u,
         "w212": -u * u - c1 * (H * beta),
         "w313": -v * v - c1 * (H * lam3),
         "w414": -w * w - c1 * (c1 + c2) * (H * H),
         "a": ring.zero(),
+        "E": EE,
     }
-    pinned_E = Fraction(-(n + 2), 2) * (w * E) - Fraction(n**3, 4 * (n - 2)) * H**3
-    rules = dict(base_rules)
-    rules["E"] = pinned_E
-    scratch_rules = dict(base_rules)
-    scratch_rules["E"] = EE
 
     return DerivationAlgebra(
         n=n,
         ring=ring,
         c1=c1,
         c2=c2,
-        derivation=Derivation(ring, rules),
-        scratch_derivation=Derivation(ring, scratch_rules),
+        scratch_derivation=Derivation(ring, rules),
     )

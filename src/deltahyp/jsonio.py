@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
+from .poly import fraction_text
 
 
 def to_jsonable(obj):
@@ -28,16 +28,11 @@ def to_jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (bool, type(None), str, int)):
+        return fraction_text(obj)
+    if isinstance(obj, (bool, type(None), str, int, float)):
         return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
+    if hasattr(obj, "tolist"):
+        # NumPy scalars and arrays, without importing NumPy
         return to_jsonable(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
@@ -49,9 +44,9 @@ def _render_float(x: float) -> str:
     return text
 
 
-def _render(value, indent: int, level: int) -> str:
-    pad = " " * (indent * (level + 1))
-    closing_pad = " " * (indent * level)
+def _render(value, level: int) -> str:
+    pad = "  " * (level + 1)
+    closing_pad = "  " * level
     if value is None:
         return "null"
     if value is True:
@@ -61,28 +56,28 @@ def _render(value, indent: int, level: int) -> str:
     if isinstance(value, str):
         return json.dumps(value, ensure_ascii=True)
     if isinstance(value, int):
-        return str(value)
+        return fraction_text(value)
     if isinstance(value, float):
         return _render_float(value)
     if isinstance(value, list):
         if not value:
             return "[]"
-        items = [_render(v, indent, level + 1) for v in value]
+        items = [_render(v, level + 1) for v in value]
         return "[\n" + ",\n".join(pad + s for s in items) + "\n" + closing_pad + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
         parts = []
         for key in sorted(value):
-            rendered = _render(value[key], indent, level + 1)
+            rendered = _render(value[key], level + 1)
             parts.append(pad + json.dumps(key, ensure_ascii=True) + ": " + rendered)
         return "{\n" + ",\n".join(parts) + "\n" + closing_pad + "}"
     raise TypeError(f"cannot render {type(value).__name__}")
 
 
-def canonical_dumps(obj, indent: int = 2) -> str:
+def canonical_dumps(obj) -> str:
     """Deterministic JSON text for a report object."""
-    return _render(to_jsonable(obj), indent, 0) + "\n"
+    return _render(to_jsonable(obj), 0) + "\n"
 
 
 def dump_path(path, obj) -> None:

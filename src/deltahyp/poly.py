@@ -89,6 +89,23 @@ def _signed_content(p: "Polynomial") -> Fraction:
     return -c if p.leading_coefficient() < 0 else c
 
 
+def fraction_text(q: Fraction | int) -> str:
+    """``str(q)``, also past the int-to-str digit limit (left as is: it is process-wide)."""
+    try:
+        return str(q)
+    except ValueError:
+        num = _digits(q.numerator)
+        return num if q.denominator == 1 else f"{num}/{_digits(q.denominator)}"
+
+
+def _digits(k: int) -> str:
+    """Decimal text of ``k``, joined from chunks below the digit limit."""
+    if abs(k) < 10**4000:
+        return str(k)
+    high, low = divmod(abs(k), 10**4000)
+    return ("-" if k < 0 else "") + _digits(high) + f"{low:04000d}"
+
+
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
@@ -370,13 +387,6 @@ class Polynomial:
                     remainder[key] = val
         return Polynomial(self.ring, quotient)
 
-    def divides(self, other: "Polynomial") -> bool:
-        try:
-            other.exact_div(self)
-            return True
-        except ExactDivisionError:
-            return False
-
     def content(self) -> Fraction:
         """Positive rational content (gcd of coefficients); 0 for zero."""
         if self.is_zero():
@@ -411,11 +421,11 @@ class Polynomial:
             )
             mag = abs(coeff)
             if not mono:
-                body = str(mag)
+                body = fraction_text(mag)
             elif mag == 1:
                 body = mono
             else:
-                body = f"{mag}*{mono}"
+                body = f"{fraction_text(mag)}*{mono}"
             if position == 0:
                 pieces.append(body if coeff > 0 else f"-{body}")
             else:
@@ -671,10 +681,6 @@ class RationalFunction:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        # den divides num exactly when the reduced denominator is constant
-        return self.den.divides(self.num)
 
     def as_polynomial(self) -> Polynomial:
         try:

@@ -267,13 +267,9 @@ def det_cofactor(matrix: list[list[Polynomial]]) -> Polynomial:
     return total
 
 
-def resultant(f: Polynomial, g: Polynomial, var: str, *, method: str = "bareiss") -> Polynomial:
+def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     """Resultant of f and g in ``var`` (free of ``var`` in the result)."""
     matrix = sylvester_matrix(f, g, var)
-    if method == "naive":
-        return det_cofactor(matrix)
-    if method != "bareiss":
-        raise ValueError(f"unknown resultant method {method!r}")
     # the first f-row and the first g-row are the descending coefficient lists
     m, n = f.degree(var), g.degree(var)
     fc, gc = matrix[0][: m + 1], matrix[n][: n + 1]

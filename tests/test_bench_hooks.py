@@ -46,6 +46,7 @@ def test_boundary_patches_trace_the_cli_and_restore(tmp_path, capsys):
         assert main(["delta", "--r", "2", "--matrix", str(matrix), "--no-optimizer"]) == 0
         assert main(["catalog", "--case", str(grid)]) == 0
         assert main(["catalog", "--kind", "hyperplane", "--n", "3"]) == 0
+        assert main(["replay", "--n", "4"]) == 0
     capsys.readouterr()
 
     spans = {span[tracer_module.NAME] for span in tracer.spans}
@@ -59,7 +60,15 @@ def test_boundary_patches_trace_the_cli_and_restore(tmp_path, capsys):
         "shape.curvature_report",
         "delta.invariant",
         "delta.null2",
+        "replay.replay_all",
+        "derivation.build_algebra",
+        "resultant.resultant",
+        "resultant.sylvester_matrix",
+        "poly.gcd",
+        "poly.mul",
+        "poly.exact_div",
     } <= spans
+    assert tracer.maxima["resultant.sylvester_dim_max"] == 15
     for target, saved in zip(patched, before):
         now = vars(target)
         assert now.keys() == saved.keys()

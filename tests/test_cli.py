@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -119,6 +120,23 @@ class TestContractExamples:
             capture_output=True, text=True, env=env, check=False,
         )
         assert (done.returncode, done.stdout) == (code, out)
+
+    def test_replay_renders_coefficients_past_the_digit_limit(self, capsys):
+        code, out, _ = run(capsys, "replay", "--n", str(10**20))
+        assert code == 0
+        assert json.loads(out)["verdict"] == "H-locally-constant"
+
+    def test_delta_writes_exact_values_past_the_digit_limit(self, capsys):
+        # tau's numerator and denominator have about 4,400 digits each, past
+        # the int-to-str limit
+        values = ["0." + "1" * 2200, "0." + "3" * 2199 + "7", "1", "2"]
+        spectrum = "--spectrum=" + ",".join(values)
+        code, out, _ = run(capsys, "delta", "--no-optimizer", "--r", "2", spectrum)
+        assert code == 0
+        tau = tau_from_spectrum([Fraction(v) for v in values])
+        # Decimal writes an int without the digit limit
+        expected = f"{Decimal(tau.numerator)}/{Decimal(tau.denominator)}"
+        assert json.loads(out)["exact"]["tau"] == expected
 
     def test_replay_n3_usage_error(self, capsys):
         code, _, err = run(capsys, "replay", "--n", "3")
@@ -258,6 +276,12 @@ MALFORMED_INPUT = {
         ["delta", "--r", "2", "--spectrum", "1,2,3,6", "--seed", "-1"],
         None,
         "seed must be non-negative",
+    ),
+    # refused before the (restarts, n, r) frame stack is allocated
+    "huge-restarts": (
+        ["delta", "--r", "2", "--spectrum", "1,2,3,4", "--restarts", "1000000000000000"],
+        None,
+        "restarts * n * r must be at most",
     ),
     **{
         f"{label}-tol-{argv[0]}": (argv + ["--tol", value], None, "--tol must be finite")

@@ -1,6 +1,7 @@
 """Canonical JSON rendering: determinism, float format, type handling."""
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -15,10 +16,16 @@ class TestToJsonable:
         assert to_jsonable({"x": Fraction(-1, 4)}) == {"x": "-1/4"}
 
     def test_numpy_scalars_and_arrays(self):
-        out = to_jsonable({"v": np.float64(1.5), "k": np.int64(3), "m": np.eye(2)})
+        out = to_jsonable({
+            "v": np.float64(1.5), "k": np.int64(3), "m": np.eye(2),
+            "f": np.float32(0.25), "b": np.bool_(True), "z": np.array(7),
+        })
         assert out["v"] == 1.5
         assert out["k"] == 3
         assert out["m"] == [[1.0, 0.0], [0.0, 1.0]]
+        assert out["f"] == 0.25 and type(out["f"]) is float
+        assert out["b"] is True
+        assert out["z"] == 7 and type(out["z"]) is int
 
     def test_tuples_become_lists(self):
         assert to_jsonable((1, 2, (3,))) == [1, 2, [3]]
@@ -58,6 +65,12 @@ class TestCanonicalDumps:
         for bad in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError):
                 canonical_dumps({"v": bad})
+
+    def test_exact_values_past_the_int_to_str_digit_limit(self):
+        big = -(10**5000) - 3
+        text = f"{Decimal(big)}"  # Decimal writes an int without the digit limit
+        assert canonical_dumps({"k": big}) == '{\n  "k": ' + text + "\n}\n"
+        assert canonical_dumps({"q": Fraction(big, 7)}) == '{\n  "q": "' + text + '/7"\n}\n'
 
     def test_byte_stability(self):
         payload = {"m": [[1.0, 2.0], [3.0, 4.0]], "f": "1/3", "deep": {"q": [None]}}

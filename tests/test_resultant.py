@@ -41,11 +41,10 @@ class TestSylvesterMatrix:
         with pytest.raises(DegreeError):
             sylvester_matrix(T + 1, RING.one() + S, "t")
 
-    @pytest.mark.parametrize("method", ["bareiss", "naive"])
-    def test_resultant_rejects_constant_operand(self, method):
+    def test_resultant_rejects_constant_operand(self):
         for f, g in ((T + 1, RING.one() + S), (S * 3, T**2 - S)):
             with pytest.raises(DegreeError):
-                resultant(f, g, "t", method=method)
+                resultant(f, g, "t")
 
 
 class TestDeterminants:
@@ -128,7 +127,7 @@ def test_resultant_equals_naive_with_two_variables_left(data):
     f = data.draw(polys.filter(lambda p: p.degree("x") >= 1))
     g = data.draw(polys.filter(lambda p: p.degree("x") >= 1))
     assume({"y", "z"} <= set(f.variables_used() + g.variables_used()))
-    assert resultant(f, g, "x") == resultant(f, g, "x", method="naive")
+    assert resultant(f, g, "x") == det_cofactor(sylvester_matrix(f, g, "x"))
 
 
 def _int_mul(a, b):
@@ -231,8 +230,8 @@ X, Y, Z = (GRID_RING.var(v) for v in ("x", "y", "z"))
     ],
 )
 def test_resultant_with_vanishing_leading_coefficients(f, g):
-    assert resultant(f, g, "x") == resultant(f, g, "x", method="naive")
-    assert resultant(g, f, "x") == resultant(g, f, "x", method="naive")
+    assert resultant(f, g, "x") == det_cofactor(sylvester_matrix(f, g, "x"))
+    assert resultant(g, f, "x") == det_cofactor(sylvester_matrix(g, f, "x"))
 
 
 class TestResultantValues:
@@ -270,7 +269,7 @@ class TestResultantValues:
     def test_methods_agree(self):
         f = T**3 + S * T + 1
         g = S * T**2 - T + 2
-        assert resultant(f, g, "t") == resultant(f, g, "t", method="naive")
+        assert resultant(f, g, "t") == det_cofactor(sylvester_matrix(f, g, "t"))
 
 
 class TestResultantGcdLink:
