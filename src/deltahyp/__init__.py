@@ -43,7 +43,7 @@ from .errors import (
     SchemaError,
     UnknownVariableError,
 )
-from .jsonio import canonical_dumps, dump_path, load_path, to_jsonable
+from .jsonio import canonical_dumps, dump_path, load_path
 from .poly import Polynomial, PolynomialRing, RationalFunction, poly_gcd
 from .replay import (
     Checkpoint,
@@ -123,7 +123,6 @@ __all__ = [
     "shape_operator_from_grid",
     "sylvester_matrix",
     "tau_from_spectrum",
-    "to_jsonable",
     "verify_lemma31",
     "verify_lemma32",
     "verify_omega_identities",

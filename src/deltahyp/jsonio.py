@@ -14,29 +14,6 @@ from pathlib import Path
 from .poly import fraction_text
 
 
-def to_jsonable(obj):
-    """Normalize report objects into plain JSON-ready structures."""
-    if hasattr(obj, "to_json_dict"):
-        return to_jsonable(obj.to_json_dict())
-    if isinstance(obj, dict):
-        out = {}
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out[key] = to_jsonable(value)
-        return out
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return fraction_text(obj)
-    if isinstance(obj, (bool, type(None), str, int, float)):
-        return obj
-    if hasattr(obj, "tolist"):
-        # NumPy scalars and arrays, without importing NumPy
-        return to_jsonable(obj.tolist())
-    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
-
-
 def _render_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"non-finite float {x!r} cannot be serialized")
@@ -45,8 +22,9 @@ def _render_float(x: float) -> str:
 
 
 def _render(value, level: int) -> str:
-    pad = "  " * (level + 1)
-    closing_pad = "  " * level
+    """JSON text of a report value: objects through ``to_json_dict``,
+    ``Fraction``s as "p/q" strings, tuples as lists, NumPy values through
+    ``tolist()`` (so NumPy need not be imported here)."""
     if value is None:
         return "null"
     if value is True:
@@ -57,9 +35,13 @@ def _render(value, level: int) -> str:
         return json.dumps(value, ensure_ascii=True)
     if isinstance(value, int):
         return fraction_text(value)
+    if isinstance(value, Fraction):
+        return f'"{fraction_text(value)}"'
     if isinstance(value, float):
         return _render_float(value)
-    if isinstance(value, list):
+    pad = "  " * (level + 1)
+    closing_pad = "  " * level
+    if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         items = [_render(v, level + 1) for v in value]
@@ -67,17 +49,24 @@ def _render(value, level: int) -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
         parts = []
         for key in sorted(value):
             rendered = _render(value[key], level + 1)
             parts.append(pad + json.dumps(key, ensure_ascii=True) + ": " + rendered)
         return "{\n" + ",\n".join(parts) + "\n" + closing_pad + "}"
-    raise TypeError(f"cannot render {type(value).__name__}")
+    if hasattr(value, "to_json_dict"):
+        return _render(value.to_json_dict(), level)
+    if hasattr(value, "tolist"):
+        return _render(value.tolist(), level)
+    raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
 
 
 def canonical_dumps(obj) -> str:
     """Deterministic JSON text for a report object."""
-    return _render(to_jsonable(obj), 0) + "\n"
+    return _render(obj, 0) + "\n"
 
 
 def dump_path(path, obj) -> None:

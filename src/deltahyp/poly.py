@@ -492,30 +492,22 @@ def _from_dense(coeffs: list[Polynomial], main: str, ring: PolynomialRing) -> Po
     return Polynomial(ring, terms)
 
 
-def _pseudo_remainder(
-    f_coeffs: list[Polynomial], g_coeffs: list[Polynomial]
-) -> list[Polynomial]:
-    """Pseudo-remainder of dense univariate views with polynomial coefficients.
-
-    Classical premultiplication-free form: each step replaces R by
-    lc(g)*R - lead(R)*x^shift*g, which stays in the polynomial ring.  The
-    result therefore differs from the textbook lc(g)^k * (f mod g) by a
-    power of lc(g) only, which is harmless inside a primitive sequence.
-    """
-    f = list(f_coeffs)
-    dg = len(g_coeffs) - 1
-    lc_g = g_coeffs[-1]
-    while True:
-        while f and f[-1].is_zero():
-            f.pop()
-        df = len(f) - 1
-        if df < dg or not f:
-            return f
-        lead = f[-1]
-        f = [c * lc_g for c in f[:-1]]
-        shift = df - dg
+def _pseudo_remainder(f: list[Polynomial], g: list[Polynomial]) -> list[Polynomial]:
+    """lc(g)^(df - dg + 1) * f mod g, trailing zeros dropped, for dense views
+    (constant first) of degrees df >= dg >= 1.  Every step multiplies by lc(g),
+    also past a zero leading coefficient: the subresultant divisions need the
+    exact power."""
+    r = list(f)
+    dg = len(g) - 1
+    for _ in range(len(f) - dg):
+        lead = r.pop()
+        r = [c * g[-1] for c in r]
+        shift = len(r) - dg
         for k in range(dg):
-            f[shift + k] = f[shift + k] - lead * g_coeffs[k]
+            r[shift + k] = r[shift + k] - lead * g[k]
+    while r and r[-1].is_zero():
+        r.pop()
+    return r
 
 
 def _coefficient_content(coeffs: Iterable[Polynomial], ring: PolynomialRing) -> Polynomial:
@@ -530,10 +522,14 @@ def _coefficient_content(coeffs: Iterable[Polynomial], ring: PolynomialRing) -> 
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Multivariate gcd via a primitive pseudo-remainder sequence.
+    """Multivariate gcd by the subresultant pseudo-remainder sequence.
 
-    Result has rational content 1 and positive leading coefficient;
-    gcd(0, g) is the normalized g; gcd of two nonzero constants is 1.
+    Collins (J. ACM 14, 1967), Brown & Traub (J. ACM 18, 1971), as in Cohen,
+    GTM 138, Alg. 3.3.1: its divisions are exact and bound coefficient growth,
+    so contents in the main variable are taken only before the loop and of the
+    last nonzero remainder.  Result has rational content 1 and positive
+    leading coefficient; gcd(0, g) is the normalized g; gcd of two nonzero
+    constants is 1.
     """
     if f.ring != g.ring:
         raise RingMismatchError("gcd of polynomials from different rings")
@@ -556,24 +552,24 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     cont_f = _coefficient_content(f.coefficients_in(main), ring)
     cont_g = _coefficient_content(g.coefficients_in(main), ring)
     cont = poly_gcd(cont_f, cont_g)
-    a = f.exact_div(cont_f).primitive()
-    b = g.exact_div(cont_g).primitive()
-    if a.degree(main) < b.degree(main):
+    a = f.exact_div(cont_f).primitive().coefficients_in(main)
+    b = g.exact_div(cont_g).primitive().coefficients_in(main)
+    if len(a) < len(b):
         a, b = b, a
+    lead = h = ring.one()
     while True:
-        if b.degree(main) == 0:
-            # Primitive and coprime in the main variable.
-            pp = ring.one()
+        delta = len(a) - len(b)
+        r = _pseudo_remainder(a, b)
+        if not r:
             break
-        rem = _pseudo_remainder(a.coefficients_in(main), b.coefficients_in(main))
-        if not rem:
-            pp = b
-            break
-        r = _from_dense(rem, main, ring).primitive()
-        r_cont = _coefficient_content(r.coefficients_in(main), ring)
-        if not r_cont.is_constant():
-            r = r.exact_div(r_cont)
-        a, b = b, r
+        if len(r) == 1:
+            return cont  # coprime in the main variable
+        divisor = lead * h**delta
+        a, b = b, [c.exact_div(divisor) for c in r]
+        lead = a[-1]
+        if delta:
+            h = (lead**delta).exact_div(h ** (delta - 1))
+    pp = _from_dense(b, main, ring).exact_div(_coefficient_content(b, ring))
     return (pp * cont).primitive()
 
 

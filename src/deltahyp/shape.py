@@ -36,12 +36,15 @@ class ShapeOperator:
         if not math.isfinite(peak):
             raise GeometryError("shape operator entries must be finite")
         scale = max(1.0, peak)
-        skew = float(np.max(np.abs(m - m.T)))
+        with np.errstate(over="ignore"):  # an infinite skew is rejected below
+            skew = float(np.max(np.abs(m - m.T)))
         if skew > SYMMETRY_RTOL * scale:
             raise GeometryError(
                 f"matrix is not symmetric within tolerance: max|A - A^T| = {skew:.3e}"
             )
-        m = 0.5 * (m + m.T)
+        # halves first, so entries near the float limit cannot overflow; equal
+        # pairs are kept as they are (halving would round a subnormal)
+        m = np.where(m == m.T, m, 0.5 * m + 0.5 * m.T)
         m.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "matrix", m)
@@ -90,8 +93,8 @@ def curvature_report(A: ShapeOperator) -> SpectrumReport:
     """
     eig = np.sort(A.eigenvalues())
     n = A.n
-    H = float(np.sum(eig) / n)
     with np.errstate(over="ignore"):  # an overflow is reported just below
+        H = float(np.sum(eig) / n)
         tr2 = float(np.sum(eig * eig))
     tau = 0.5 * (n * n * H * H - tr2)
     if not all(map(math.isfinite, (H, tr2, tau))):

@@ -132,15 +132,6 @@ class ImmersionGrid:
         index = tuple(b + o for b, o in zip(self.base, offset))
         return self.points[index]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "h": list(self.h),
-            "base": list(self.base),
-            "shape": list(self.shape),
-            "points": [float(x) for x in self.points.reshape(-1)],
-        }
-
 
 # -- catalog ---------------------------------------------------------------------
 
@@ -304,7 +295,8 @@ def _expect_matrix(data: dict, key: str) -> np.ndarray:
                 )
     matrix = np.array(rows, dtype=float)
     scale = max(1.0, float(np.max(np.abs(matrix))))
-    skew = np.argwhere(np.abs(matrix - matrix.T) > SYMMETRY_RTOL * scale)
+    with np.errstate(over="ignore"):  # an infinite skew is still a skew
+        skew = np.argwhere(np.abs(matrix - matrix.T) > SYMMETRY_RTOL * scale)
     if skew.size:
         i, j = skew[0]  # row-major first, so i < j
         raise SchemaError(

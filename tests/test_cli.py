@@ -195,6 +195,16 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_near_limit_operator_prints_no_warning(self):
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(deltahyp.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "deltahyp", "catalog", "--kind", "graph",
+             "--hessian", "[[1e308,0],[0,1e308]]"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert done.returncode == 2
+        assert done.stderr == "error: curvature invariants overflow the float range\n"
+
     def test_checkpoint_failure_exits_three(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(reference_forms, "TEMPLATE_CUBIC_FORM", frozenset())
         out = tmp_path / "partial.json"
@@ -242,6 +252,33 @@ MALFORMED_INPUT = {
         "$.hessian[0][1]",
     ),
     "scalar-hessian": (["catalog", "--kind", "graph", "--hessian", "5"], None, "$.hessian"),
+    "unparsable-hessian": (
+        ["catalog", "--kind", "graph", "--hessian", "[[1,"],
+        None,
+        "cannot parse --hessian",
+    ),
+    "catalog-without-case-or-kind": (
+        ["catalog", "--n", "3"],
+        None,
+        "catalog needs either --case or --kind",
+    ),
+    "one-value-spectrum": (
+        ["delta", "--r", "2", "--spectrum", "5"],
+        None,
+        "spectrum needs at least two values",
+    ),
+    # entries near the float limit: symmetrizing must not overflow, and an
+    # overflowing skew is still a skew (a numpy warning would fail the test)
+    "near-limit-hessian": (
+        ["catalog", "--kind", "graph", "--hessian", "[[1e308,0],[0,1e308]]"],
+        None,
+        "curvature invariants overflow",
+    ),
+    "near-limit-skew-matrix": (
+        ["null2", "--matrix", "{doc}"],
+        {"matrix": [[0, 1e308], [-1e308, 0]]},
+        "must be symmetric",
+    ),
     "negative-grid-shape": (
         ["catalog", "--case", "{doc}"],
         {"n": 2, "h": [0.1, 0.1], "base": [2, 2], "shape": [-1, -5], "points": [0.0] * 15},

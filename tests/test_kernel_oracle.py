@@ -199,7 +199,7 @@ def test_exact_div(f, g):
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
-@given(polynomials(max_terms=3), polynomials(max_terms=3), polynomials(max_terms=3))
+@given(polynomials(), polynomials(), polynomials(max_terms=3))
 def test_poly_gcd_up_to_a_unit(a, b, c):
     f, g = a * c, b * c
     assert_proportional(poly_gcd(f, g), sympy.gcd(to_sympy(f), to_sympy(g)))
@@ -270,7 +270,10 @@ def test_final_resultant_is_sympys(n):
 
 
 def small_polynomials():
-    # kept small: poly_gcd on the product of a long chain can run for minutes
+    # kept small: with up to three terms per part, the normal-form test below
+    # took 58 s (2-CPU VM) under the subresultant gcd, and did not finish in
+    # 330 s under the primitive PRS before it; chains of products grow the
+    # gcd's operands
     exponents = st.tuples(*[st.integers(0, 2)] * len(RING.vars))
     return st.dictionaries(exponents, COEFFS, max_size=2).map(
         lambda terms: Polynomial(RING, terms)

@@ -1,6 +1,8 @@
 """Unit tests for the exact sparse polynomial and rational-function kernel."""
 
 import random
+import signal
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -17,6 +19,8 @@ from deltahyp import (
 )
 from deltahyp.errors import DeltahypError
 from deltahyp.poly import fraction_text
+
+from conftest import time_limit
 
 RING = PolynomialRing(("x", "y", "z"))
 
@@ -227,8 +231,8 @@ class TestRestrictRing:
 
 class TestGcd:
     def test_common_factor_divides_gcd(self):
-        # two variables keep the primitive PRS fast; the pipeline's own gcds
-        # are bivariate as well (after specializing the type constant)
+        # the pipeline's own gcds are bivariate (after specializing the type
+        # constant)
         ring = PolynomialRing(("x", "y"))
         rng = random.Random(5)
         done = 0
@@ -251,6 +255,68 @@ class TestGcd:
     def test_gcd_with_zero(self):
         p = RING.parse("2*x + 4*y")
         assert poly_gcd(p, RING.zero()) == p.primitive()
+
+    def test_gcd_of_a_reduced_quotient_in_three_variables(self):
+        # a primitive PRS that took coefficient contents at every step ran
+        # for minutes on this 24-term, 4-term pair of total degree 19
+        def quotient(num, den):
+            return RationalFunction(RING.parse(num), RING.parse(den))
+
+        a = quotient("-8/3", "-x*y^2*z^2 - 1")
+        b = quotient("-7/4*x^2*y^2*z^2", "-3*x^2*y + 2*x*y^2 - 3/4*y*z^2")
+        c = quotient("-8*x*y*z", "-7*x^2*y*z - 3*y*z^2")
+        d = quotient("-5*y^2*z^2", "-3/2*x^2*y*z^2 + 5/3*x*y*z^2 + 2")
+        value = (a / b - c) / d
+        assert (len(value.num.terms), len(value.den.terms)) == (24, 4)
+        assert value.num.total_degree() == value.den.total_degree() == 19
+        with time_limit(30):
+            assert poly_gcd(value.num, value.den) == RING.parse("y^2*z")
+
+    @pytest.mark.parametrize(
+        "f, g, expected",
+        [
+            (
+                "25/12*x^5*y^4*z - 40/9*x^5*y^3*z + 25/16*x^4*y^3*z^2"
+                " + 25/8*x^2*y^3*z^4 - 10/3*x^4*y^2*z^2 - 20/3*x^2*y^2*z^4"
+                " + 25/16*x^4*y*z - 10/3*x^2*y^3*z - 5/2*x^2*y^2*z^2 - 10/3*x^4*z"
+                " + 64/9*x^2*y^2*z + 16/3*x^2*y*z^2",
+                "-5/4*x^5*y^3*z^3 + 8/3*x^5*y^2*z^3 - 15/4*x^4*y^3*z^3"
+                " + 8*x^4*y^2*z^3 - 15/2*x^5*y*z + 5*x^3*y*z^3 - x^2*y^4*z"
+                " + 16*x^5*z - 32/3*x^3*z^3 + 32/15*x^2*y^3*z - 45/8*x^2*y*z"
+                " + 12*x^2*z",
+                "15*x^2*y*z - 32*x^2*z",
+            ),
+            (
+                "-27/5*x^3*y^3*z^3 - 72/5*x*y^3*z^5 + 9/5*x^5*y^2*z"
+                " + 29/5*x^3*y^2*z^3 + 8/3*x*y^2*z^5 - 12*x*y^3*z^3 + 4*x^3*y^2*z"
+                " + 20/9*x*y^2*z^3 + 3/5*x^4*z + 8/5*x^2*z^3 - 3/5*x^4"
+                " - 8/5*x^2*z^2 + 4/3*x^2*z - 4/3*x^2",
+                "-21/20*x^5*y^3*z^3 - 14/5*x^3*y^3*z^5 - 7/3*x^3*y^3*z^3"
+                " + 3/5*x^4*y^3*z + 8/5*x^2*y^3*z^3 - 3*x^3*y*z^3 - 8*x*y*z^5"
+                " + x^5*y + 8/3*x^3*y*z^2 + 29/15*x^2*y^3*z + 8/5*y^3*z^3"
+                " - 20/3*x*y*z^3 + 20/9*x^3*y + 4/3*y^3*z - 8/5*x^2*y"
+                " - 64/15*y*z^2 - 32/9*y",
+                "9*x^2 + 24*z^2 + 20",
+            ),
+        ],
+        ids=["linear-in-y", "quadratic"],
+    )
+    def test_gcd_pinned_to_sympy(self, f, g, expected):
+        # two seeded draws over Q[x, y, z] that took 30 s and more under the
+        # primitive PRS with per-step contents; the expected gcds are sympy's,
+        # normalized
+        with time_limit(30):
+            assert poly_gcd(RING.parse(f), RING.parse(g)) == RING.parse(expected)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM on this platform")
+def test_time_limit_fails_an_overrunning_body():
+    handler = signal.getsignal(signal.SIGALRM)
+    with pytest.raises(pytest.fail.Exception, match="time limit of 0.05 s"):
+        with time_limit(0.05):
+            time.sleep(5)
+    assert signal.getsignal(signal.SIGALRM) is handler
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
 class TestRationalFunction:

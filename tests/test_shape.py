@@ -36,6 +36,20 @@ class TestShapeOperator:
         A = ShapeOperator(M)
         assert np.allclose(A.matrix, A.matrix.T)
 
+    def test_entries_near_the_float_limit(self):
+        # warnings are errors under pytest, so an overflow here fails the test
+        big = np.array([[1e308, 1e308], [1e308, -1e308]])
+        assert np.array_equal(ShapeOperator(big).matrix, big)
+        near = np.array([[0.0, 1.7e308], [np.nextafter(1.7e308, 2e308), 0.0]])
+        A = ShapeOperator(near)
+        assert np.isfinite(A.matrix).all() and np.array_equal(A.matrix, A.matrix.T)
+        with pytest.raises(GeometryError, match="not symmetric"):
+            ShapeOperator([[0.0, 1e308], [-1e308, 0.0]])
+
+    def test_exactly_symmetric_input_is_kept_bit_for_bit(self):
+        M = np.array([[5e-324, -0.0, 1.0], [-0.0, -0.0, 0.1], [1.0, 0.1, 3.0]])
+        assert ShapeOperator(M).matrix.tobytes() == M.tobytes()
+
     def test_matrix_is_immutable(self):
         A = ShapeOperator(np.eye(3))
         with pytest.raises(ValueError):
