@@ -16,21 +16,12 @@ The package has three layers:
   catalog surfaces or immersion grids.
 
 ``deltahyp.cli`` exposes all of it behind the ``deltahyp`` console script.
+The exact layers load eagerly; the numeric one, and with it NumPy, loads on
+first use.
 """
 
-from .delta import (
-    DeltaResult,
-    IdealPattern,
-    Null2TypeReport,
-    chen_bound,
-    combinatorial_inf,
-    delta_from_spectrum,
-    delta_invariant,
-    detect_ideal_pattern,
-    ideality_gap,
-    null2type_check,
-    tau_from_spectrum,
-)
+import importlib
+
 from .derivation import FRAME_VARS, Derivation, DerivationAlgebra, ReplayConfig, build_algebra
 from .errors import (
     CheckpointFailure,
@@ -59,14 +50,47 @@ from .replay import (
     verify_omega_identities,
 )
 from .resultant import det_bareiss, resultant, sylvester_matrix
-from .shape import ShapeOperator, SpectrumReport, curvature_report, restricted_scalar
-from .surfaces import (
-    ImmersionGrid,
-    SurfaceSpec,
-    catalog_shape_operator,
-    load_case,
-    shape_operator_from_grid,
-)
+
+#: Exports of the numeric layer, by home module.  They load NumPy, so each is
+#: imported on first access (PEP 562) and then cached in the module globals.
+_NUMERIC_EXPORTS = {
+    "delta": (
+        "DeltaResult",
+        "IdealPattern",
+        "Null2TypeReport",
+        "chen_bound",
+        "combinatorial_inf",
+        "delta_from_spectrum",
+        "delta_invariant",
+        "detect_ideal_pattern",
+        "ideality_gap",
+        "null2type_check",
+        "tau_from_spectrum",
+    ),
+    "shape": ("ShapeOperator", "SpectrumReport", "curvature_report", "restricted_scalar"),
+    "surfaces": (
+        "ImmersionGrid",
+        "SurfaceSpec",
+        "catalog_shape_operator",
+        "load_case",
+        "shape_operator_from_grid",
+    ),
+}
+_HOME = {name: module for module, names in _NUMERIC_EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})
+
 
 __version__ = "0.1.0"
 

@@ -10,37 +10,50 @@ environment variable; an explicit --seed flag wins.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .delta import (
-    DEFAULT_RESTARTS,
-    DEFAULT_SEED,
-    DEFAULT_TOL,
-    delta_from_spectrum,
-    delta_invariant,  # unused here; bench/tracer.py wraps cli.delta_invariant
-    detect_ideal_pattern,
-    ideality_gap,
-    null2type_check,
-)
 from .derivation import ReplayConfig
 from .errors import CheckpointFailure, ConfigError, DeltahypError
 from .jsonio import canonical_dumps, dump_path, load_path
+from .limits import CATALOG_KINDS, DEFAULT_RESTARTS, DEFAULT_SEED, DEFAULT_TOL, MAX_DIMENSION
 from .replay import VERDICT_CONSTANT, replay_all
-from .shape import ShapeOperator, curvature_report
-from .surfaces import (
-    CATALOG_KINDS,
-    MAX_DIMENSION,
-    ImmersionGrid,
-    catalog_shape_operator,
-    load_case,
-    parse_matrix,
-    parse_surface_spec,
-    shape_operator_from_grid,
-)
+
+if TYPE_CHECKING:
+    from .shape import ShapeOperator
+
+
+def _deferred(module: str, name: str):
+    """``deltahyp.<module>.<name>``, imported when it is first called.
+
+    The geometry modules load NumPy, which ``replay`` and ``--help`` never
+    need.  Each stand-in is a module global, so bench/tracer.py can rebind it.
+    """
+    path = f"{__package__}.{module}"
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(path), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+delta_from_spectrum = _deferred("delta", "delta_from_spectrum")
+delta_invariant = _deferred("delta", "delta_invariant")  # unused here; bench/tracer.py wraps it
+detect_ideal_pattern = _deferred("delta", "detect_ideal_pattern")
+ideality_gap = _deferred("delta", "ideality_gap")
+null2type_check = _deferred("delta", "null2type_check")
+curvature_report = _deferred("shape", "curvature_report")
+catalog_shape_operator = _deferred("surfaces", "catalog_shape_operator")
+load_case = _deferred("surfaces", "load_case")
+parse_matrix = _deferred("surfaces", "parse_matrix")
+parse_surface_spec = _deferred("surfaces", "parse_surface_spec")
+shape_operator_from_grid = _deferred("surfaces", "shape_operator_from_grid")
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -182,9 +195,15 @@ def _spec_from_flags(args) -> dict:
     return data
 
 
+def _is_grid(case) -> bool:
+    from .surfaces import ImmersionGrid  # loaded already: the case came from surfaces
+
+    return isinstance(case, ImmersionGrid)
+
+
 def _case_operator(case) -> ShapeOperator:
     """Shape operator of a case: a catalog surface or a sampled immersion grid."""
-    if isinstance(case, ImmersionGrid):
+    if _is_grid(case):
         return shape_operator_from_grid(case)
     return catalog_shape_operator(case)
 
@@ -192,6 +211,8 @@ def _case_operator(case) -> ShapeOperator:
 def _operator_from_args(args) -> tuple[ShapeOperator, list[Fraction] | None]:
     """Build the operator; also return the exact spectrum when given inline."""
     if getattr(args, "spectrum", None):
+        from .shape import ShapeOperator
+
         exact = _parse_spectrum(args.spectrum)
         return ShapeOperator.from_spectrum([float(x) for x in exact]), exact
     if getattr(args, "matrix", None):
@@ -358,7 +379,7 @@ def _cmd_catalog(args) -> int:
     else:
         raise ConfigError("catalog needs either --case or --kind")
     operator = _case_operator(case)
-    spec_payload = {"source": "grid"} if isinstance(case, ImmersionGrid) else case.to_json_dict()
+    spec_payload = {"source": "grid"} if _is_grid(case) else case.to_json_dict()
     payload = {
         "spec": spec_payload,
         "operator": operator.to_json_dict(),

@@ -12,13 +12,10 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigError, GeometryError
+from .limits import DEFAULT_RESTARTS, DEFAULT_SEED, DEFAULT_TOL, MAX_DIMENSION
 from .shape import ShapeOperator, SpectrumReport, curvature_report
 from .stiefel import minimize_tau
-from .surfaces import MAX_DIMENSION
 
-DEFAULT_TOL = 1e-8
-DEFAULT_RESTARTS = 32
-DEFAULT_SEED = 20240
 #: The default run's frame stack at the largest operator: the cap on restarts * n * r.
 MAX_FRAME_ENTRIES = DEFAULT_RESTARTS * MAX_DIMENSION * (MAX_DIMENSION - 1)
 

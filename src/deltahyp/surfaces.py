@@ -11,28 +11,12 @@ import numpy as np
 
 from .errors import GeometryError, GridError, SchemaError
 from .jsonio import load_path
+from .limits import CATALOG_KINDS, MAX_DIMENSION, SPEC_FIELDS
 from .shape import SYMMETRY_RTOL, ShapeOperator
 
 #: Condition-number threshold above which the first fundamental form is
 #: treated as degenerate.
 METRIC_COND_LIMIT = 1e8
-
-#: Largest operator dimension any input may ask for: a spec's ``n``, the size
-#: of a matrix document and the number of ``--spectrum`` values.  Operators
-#: are dense n x n arrays, so larger inputs are refused before one is built.
-MAX_DIMENSION = 1024
-
-#: Catalog kind -> (required fields, optional fields) of a surface spec,
-#: besides ``kind``.  Spec files, ``catalog --kind`` flags and ``SurfaceSpec``
-#: all read this one table.
-SPEC_FIELDS = {
-    "spherical-cylinder": (("n", "p", "radius"), ()),
-    "round-sphere": (("n", "radius"), ()),
-    "hyperplane": (("n",), ()),
-    "graph": (("hessian",), ("n",)),
-}
-
-CATALOG_KINDS = tuple(SPEC_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -147,7 +131,7 @@ def catalog_shape_operator(spec: SurfaceSpec) -> ShapeOperator:
         diag = [1.0 / spec.radius] * spec.p + [0.0] * (n - spec.p)
         return ShapeOperator(np.diag(diag))
     if spec.kind == "round-sphere":
-        return ShapeOperator(np.eye(n) / spec.radius)
+        return ShapeOperator(np.diag([1.0 / spec.radius] * n))
     if spec.kind == "hyperplane":
         return ShapeOperator(np.zeros((n, n)))
     if spec.kind == "graph":

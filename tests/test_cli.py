@@ -205,6 +205,17 @@ class TestExitCodes:
         assert done.returncode == 2
         assert done.stderr == "error: curvature invariants overflow the float range\n"
 
+    def test_subnormal_sphere_radius_prints_no_warning(self):
+        # 1 / radius overflows to inf: refused as non-finite, with no numpy warning first
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(deltahyp.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "deltahyp", "catalog", "--kind", "round-sphere", "--n", "3",
+             "--radius", "1e-320"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert done.returncode == 2
+        assert done.stderr == "error: shape operator entries must be finite\n"
+
     def test_checkpoint_failure_exits_three(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(reference_forms, "TEMPLATE_CUBIC_FORM", frozenset())
         out = tmp_path / "partial.json"
@@ -288,6 +299,11 @@ MALFORMED_INPUT = {
         ["catalog", "--case", "{doc}"],
         {"kind": "round-sphere", "n": 4, "radius": float("inf")},
         "$.radius",
+    ),
+    "subnormal-sphere-radius": (
+        ["catalog", "--kind", "round-sphere", "--n", "3", "--radius", "1e-320"],
+        None,
+        "entries must be finite",
     ),
     "nan-radius-flag": (
         ["catalog", "--kind", "round-sphere", "--n", "4", "--radius", "nan"],
