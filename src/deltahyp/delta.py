@@ -323,6 +323,12 @@ def detect_ideal_pattern(A: ShapeOperator, tol: float = DEFAULT_TOL) -> Optional
     if n < 4:
         return None
     scale = max(1.0, float(np.max(np.abs(eig))))
+    # A match puts its n-3 remaining values within tol*scale of s, so some run
+    # of n-3 consecutive sorted values spans at most 2*tol*scale.  When all four
+    # such runs span more than twice that (slack for rounding), no triple can
+    # match and the scan is skipped.
+    if np.all(eig[n - 4 :] - eig[:4] > 4 * tol * scale):
+        return None
     for triple in combinations(range(n), 3):
         rest = [i for i in range(n) if i not in triple]
         rest_values = eig[rest]

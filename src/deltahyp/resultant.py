@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from .errors import DegreeError
+from .errors import DegreeError, RingMismatchError
 from .poly import Polynomial
 
 
@@ -41,7 +41,7 @@ def _sylvester_rows(fc: list, gc: list, zero) -> list[list]:
 def sylvester_matrix(f: Polynomial, g: Polynomial, var: str) -> list[list[Polynomial]]:
     """Sylvester matrix of f and g in ``var``; f-rows first."""
     if f.ring != g.ring:
-        raise DegreeError("operands live in different rings")
+        raise RingMismatchError("operands live in different rings")
     if f.degree(var) < 1 or g.degree(var) < 1:
         raise DegreeError(
             "resultant requires positive degree in the eliminated variable; "
@@ -235,8 +235,11 @@ def _interpolated(ring, used: list[int], rows: list[list[tuple]], scale: int,
 
 def det_bareiss(matrix: list[list[Polynomial]]) -> Polynomial:
     """Exact determinant of a polynomial matrix by evaluation and interpolation."""
-    if not matrix:
-        raise ValueError("empty matrix")
+    if not matrix or any(len(row) != len(matrix) for row in matrix):
+        raise ValueError("determinant of a matrix that is not square with at least one row")
+    ring = matrix[0][0].ring
+    if any(p.ring != ring for row in matrix for p in row):
+        raise RingMismatchError("matrix entries live in different rings")
     used = _used([p for row in matrix for p in row])
     # each row scaled by the lcm of its denominators
     scale = 1
@@ -245,7 +248,7 @@ def det_bareiss(matrix: list[list[Polynomial]]) -> Polynomial:
         lcm, entries = _cleared(row, used)
         scale *= lcm
         rows.append(entries)
-    return _interpolated(matrix[0][0].ring, used, rows, scale,
+    return _interpolated(ring, used, rows, scale,
                          lambda at, slots: _int_det([[at[k] for k in row] for row in slots]))
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import deltahyp
+from conftest import time_limit
 from deltahyp import reference_forms, tau_from_spectrum
 from deltahyp.cli import main
 from deltahyp.surfaces import MAX_DIMENSION
@@ -150,6 +151,14 @@ class TestExitCodes:
         assert code == 1
         code, _, _ = run(capsys, "null2", "--spectrum", "2,2,2,2")
         assert code == 1
+
+    def test_ideal_on_a_long_distinct_spectrum_exits_one(self, capsys):
+        spectrum = ",".join(str(k) for k in range(1, MAX_DIMENSION + 1))
+        with time_limit(30):
+            code, out, _ = run(capsys, "ideal", "--no-optimizer", "--r", "3",
+                               "--spectrum", spectrum)
+        assert code == 1
+        assert json.loads(out)["ideal"] is False
 
     def test_positive_verdicts_exit_zero(self, capsys):
         code, _, _ = run(capsys, "ideal", "--r", "3", "--spectrum", "1,2,3,6")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from deltahyp import (
     GeometryError,
+    IdealPattern,
     ShapeOperator,
     chen_bound,
     combinatorial_inf,
@@ -41,6 +42,43 @@ def tie_heavy_spectra(draw):
     )
     pool = draw(st.lists(rationals, min_size=1, max_size=4))
     return draw(st.lists(st.sampled_from(pool), min_size=3, max_size=10))
+
+
+def scan_ideal_pattern(A, tol):
+    """Test oracle: ``detect_ideal_pattern``'s scan of every sorted-index triple
+    in lexicographic order, without the window check that may skip it."""
+    eig = np.sort(A.eigenvalues())
+    n = A.n
+    if n < 4:
+        return None
+    scale = max(1.0, float(np.max(np.abs(eig))))
+    for triple in itertools.combinations(range(n), 3):
+        rest = [i for i in range(n) if i not in triple]
+        s = float(eig[triple[0]] + eig[triple[1]] + eig[triple[2]])
+        if float(np.max(np.abs(eig[rest] - s))) <= tol * scale:
+            return IdealPattern(
+                alpha=float(eig[triple[0]]),
+                beta=float(eig[triple[1]]),
+                gamma=float(eig[triple[2]]),
+                repeated=s,
+                permutation=tuple(triple) + tuple(rest),
+            )
+    return None
+
+
+@st.composite
+def near_ideal_spectra(draw):
+    """(spectrum, tol): three values from a small pool, then n-3 values that are
+    either their sum moved by a few multiples of tol or other pool values, so
+    exact, near and failed matches and ties all occur."""
+    tol = draw(st.sampled_from((0.0, 1e-8, 1e-6, 0.1)))
+    pool = draw(st.lists(st.integers(-6, 6).map(lambda k: k / 2), min_size=1, max_size=4))
+    head = draw(st.lists(st.sampled_from(pool), min_size=3, max_size=3))
+    near_sum = st.sampled_from((0.0, 0.4, -0.4, 0.9, -0.9, 1.5, -1.5, 3.0, -3.0)).map(
+        lambda k: sum(head) + k * tol
+    )
+    rest = draw(st.lists(near_sum | st.sampled_from(pool), min_size=1, max_size=6))
+    return head + rest, tol
 
 
 class TestExactLayer:
@@ -183,6 +221,13 @@ class TestIdeality:
         pattern = detect_ideal_pattern(A)
         assert pattern is not None
         assert pattern.repeated == pytest.approx(6.0)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(near_ideal_spectra())
+    def test_pattern_matches_the_full_scan(self, case):
+        spectrum, tol = case
+        A = ShapeOperator.from_spectrum(spectrum)
+        assert detect_ideal_pattern(A, tol) == scan_ideal_pattern(A, tol)
 
     def test_pattern_implies_ideal_randomized(self):
         rng = np.random.default_rng(2718)

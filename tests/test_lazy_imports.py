@@ -52,6 +52,33 @@ def test_replay_path_loads_no_numpy():
     ]
 
 
+EXACT_EXPORTS_BOUND_AT_IMPORT = textwrap.dedent(
+    """
+    import sys
+    import deltahyp
+
+    exact = [name for module, names in deltahyp._EXPORTS.items()
+             if module not in deltahyp._NUMERIC for name in names]
+    print(sorted(set(exact) - set(vars(deltahyp))), "numpy" in sys.modules)
+    """
+)
+
+
+def test_export_table_lists_each_name_once():
+    # a name under two modules would keep only its last home, and the derived
+    # __all__ would hide the repeat
+    assert sum(map(len, deltahyp._EXPORTS.values())) == len(deltahyp.__all__)
+
+
+def test_exact_exports_are_bound_when_the_package_loads():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", EXACT_EXPORTS_BOUND_AT_IMPORT],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout == "[] False\n"
+
+
 def test_every_export_is_its_home_module_object():
     for name in deltahyp.__all__:
         value = getattr(deltahyp, name)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from deltahyp import DegreeError, Polynomial, PolynomialRing, poly_gcd
+from deltahyp.errors import RingMismatchError
 from deltahyp.resultant import (
     _int_det,
     _int_resultant,
@@ -46,6 +47,14 @@ class TestSylvesterMatrix:
             with pytest.raises(DegreeError):
                 resultant(f, g, "t")
 
+    def test_rejects_operands_from_different_rings(self):
+        other = PolynomialRing(("t", "u"))
+        f, g = T**2 + S, other.var("t") - other.var("u")
+        with pytest.raises(RingMismatchError):
+            sylvester_matrix(f, g, "t")
+        with pytest.raises(RingMismatchError):
+            resultant(f, g, "t")
+
 
 class TestDeterminants:
     def test_bareiss_matches_cofactor_random(self):
@@ -73,6 +82,20 @@ class TestDeterminants:
             [RING.const(7), RING.const(4)],
         ]
         assert det_bareiss(matrix) == RING.one()
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[], [[]], [[T, S]], [[T, S], [S]], [[T], [S]]],
+        ids=["no-rows", "empty-row", "one-by-two", "ragged", "two-by-one"],
+    )
+    def test_rejects_a_matrix_that_is_not_square(self, matrix):
+        with pytest.raises(ValueError, match="not square"):
+            det_bareiss(matrix)
+
+    def test_rejects_entries_from_different_rings(self):
+        other = PolynomialRing(("t", "u"))
+        with pytest.raises(RingMismatchError):
+            det_bareiss([[T, S], [other.var("u"), other.one()]])
 
 
 XYZ = PolynomialRing(("x", "y", "z"))
