@@ -23,7 +23,7 @@ class ShapeOperator:
     Eigenvalues are the principal curvatures (units: inverse length).
     """
 
-    __slots__ = ("n", "matrix")
+    __slots__ = ("n", "matrix", "_eigenvalues")
 
     def __init__(self, matrix):
         m = np.array(matrix, dtype=float)
@@ -48,6 +48,7 @@ class ShapeOperator:
         m.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_eigenvalues", None)
 
     def __setattr__(self, *_):  # pragma: no cover - guard
         raise AttributeError("ShapeOperator is immutable")
@@ -58,7 +59,13 @@ class ShapeOperator:
         return cls(np.diag(values))
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+        """Eigenvalues in ascending order, read-only; ``eigvalsh`` runs on the
+        first call only, so every invariant of one operator shares it."""
+        if self._eigenvalues is None:
+            eig = np.linalg.eigvalsh(self.matrix)
+            eig.setflags(write=False)
+            object.__setattr__(self, "_eigenvalues", eig)
+        return self._eigenvalues
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "matrix": [list(map(float, row)) for row in self.matrix]}

@@ -15,11 +15,21 @@ slice by slice, so ``minimize_tau`` moves all its restarts as one
 (restarts, n, r) stack.  Each restart's trial step is the Barzilai-Borwein
 step |<s, s> / <s, y>| (*IMA J. Numer. Anal.* 8, 1988), with s its last move
 and y the change of its projected gradient, clipped at ``BB_MAX_STEP``; it is
-1.0 on the first iteration and wherever that quotient is undefined.  Armijo
-halvings follow.  A restart stops when its projected gradient norm is at most
-``GRAD_TOL``, when its Armijo target ``val - ARMIJO_C * step * |g|^2`` is no
-longer below ``val`` in floating point (no decrease is left that the value
-can show), or when ``MAX_HALVINGS`` halvings find no acceptable step.
+1.0 on the first iteration and wherever that quotient is undefined.
+
+Halvings follow under the nonmonotone Armijo rule of Zhang & Hager (*SIAM J.
+Optim.* 14, 2004), which Wen & Yin (*Math. Program.* 142, 2013) pair with BB
+steps on the Stiefel manifold: a candidate is accepted when its value is at
+most C - ARMIJO_C * step * |g|^2, where C is the restart's reference value.  C
+starts at the restart's first value with weight Q = 1; after each accepted
+value f, Q' = ETA * Q + 1 and C' = (ETA * Q * C + f) / Q'.  C is a weighted
+mean of the values so far, so a BB step may rise above the last value, and
+fewer steps are halved than under the monotone rule (ETA = 0).  A restart
+stops when its projected gradient norm is at most ``GRAD_TOL``, when
+``val - ARMIJO_C * step * |g|^2`` is no longer below its own value ``val`` in
+floating point (no decrease is left that the value can show), or when
+``MAX_HALVINGS`` halvings find no acceptable step.  Each restart returns its
+last frame.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ MAX_ITERS = 500
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 60
 BB_MAX_STEP = 1e3
+ETA = 0.85  # Zhang-Hager weight of the past values in the reference value
 
 
 def _transpose(X: np.ndarray) -> np.ndarray:
@@ -73,35 +84,50 @@ def retract_qf(Y: np.ndarray) -> np.ndarray:
 
 
 def _trial_steps(move, grad_change) -> np.ndarray:
-    """Barzilai-Borwein steps |<s, s> / <s, y>|, capped; 1.0 where undefined."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bb = np.abs(_inner(move, move) / _inner(move, grad_change))
-    return np.where(np.isfinite(bb) & (bb > 0.0), np.minimum(bb, BB_MAX_STEP), 1.0)
+    """Barzilai-Borwein steps |<s, s> / <s, y>|, capped; 1.0 where undefined.
 
-
-def _line_search(A, F, val, grad, step):
-    """Armijo backtracking from each frame's trial step.
-
-    Returns the new frames and values and a mask of the frames that moved;
-    a frame that did not move has converged, stalled or run out of halvings.
+    Only quotients below the cap are divided, so no division can overflow or
+    meet a zero.
     """
-    g2 = _inner(grad, grad)
-    new_F, new_val = F.copy(), val.copy()
+    ss = _inner(move, move)
+    sy = np.abs(_inner(move, grad_change))
+    defined = (ss > 0.0) & (sy > 0.0)
+    steps = np.where(defined, BB_MAX_STEP, 1.0)
+    np.divide(ss, sy, out=steps, where=defined & (ss < BB_MAX_STEP * sy))
+    return steps
+
+
+def _line_search(A, F, val, ref, grad, step):
+    """Nonmonotone backtracking from each frame's trial step.
+
+    ``ref`` holds each frame's reference value C.  The frames still searching
+    are filtered once per round, so a round retracts and evaluates only them.
+    Returns the new frames and values, set only where the returned mask
+    marks the frames that moved; a frame that did not move has converged,
+    stalled or run out of halvings.
+    """
+    new_F, new_val = np.empty_like(F), np.empty_like(val)
     moved = np.zeros(len(val), dtype=bool)
-    pending = np.flatnonzero(np.sqrt(g2) > GRAD_TOL)
+    g2 = _inner(grad, grad)
+    idx = np.flatnonzero(np.sqrt(g2) > GRAD_TOL)
+    F, val, ref, grad, g2, step = F[idx], val[idx], ref[idx], grad[idx], g2[idx], step[idx]
     for _ in range(MAX_HALVINGS):
-        target = val[pending] - ARMIJO_C * step[pending] * g2[pending]
-        below = target < val[pending]
-        pending, target = pending[below], target[below]
-        if not pending.size:
+        decrease = ARMIJO_C * step * g2
+        live = val - decrease < val
+        if not live.all():
+            idx, F, val, ref, grad, g2, step, decrease = (
+                x[live] for x in (idx, F, val, ref, grad, g2, step, decrease)
+            )
+        if not idx.size:
             break
-        candidate = retract_qf(F[pending] - step[pending, None, None] * grad[pending])
+        candidate = retract_qf(F - step[:, None, None] * grad)
         cand_val = tau_of_frame(A, candidate)
-        accept = cand_val <= target
-        done = pending[accept]
+        accept = cand_val <= ref - decrease
+        done = idx[accept]
         new_F[done], new_val[done], moved[done] = candidate[accept], cand_val[accept], True
-        pending = pending[~accept]
-        step[pending] *= 0.5
+        rest = ~accept
+        idx, F, val, ref, grad, g2 = (x[rest] for x in (idx, F, val, ref, grad, g2))
+        step = 0.5 * step[rest]
     return new_F, new_val, moved
 
 
@@ -115,8 +141,8 @@ def minimize_tau(
 
     Restart k starts from its own generator derived from (seed, k), and no
     restart reads another's state, so runs are reproducible and a restart's
-    result does not depend on how many run beside it.  Ties go to the first
-    restart with the smallest value.
+    result does not depend on how many run beside it.  A restart's result is
+    its last frame; ties go to the first restart with the smallest value.
     """
     n = A.shape[0]
     starts = np.empty((restarts, n, r))
@@ -127,6 +153,7 @@ def minimize_tau(
     values = tau_of_frame(A, frames)
     rows = np.arange(restarts)  # restart index of each frame still moving
     F, val = frames.copy(), values.copy()
+    ref, weight = values.copy(), np.ones(restarts)  # Zhang-Hager C and Q
     move = last_grad = None
     for _ in range(MAX_ITERS):
         grad = project_tangent(F, tau_gradient(A, F))
@@ -134,12 +161,16 @@ def minimize_tau(
             step = np.ones(len(rows))
         else:
             step = _trial_steps(move, grad - last_grad)
-        new_F, new_val, moved = _line_search(A, F, val, grad, step)
-        frames[rows], values[rows] = new_F, new_val
+        new_F, new_val, moved = _line_search(A, F, val, ref, grad, step)
         rows = rows[moved]
         if not rows.size:
             break
-        move, last_grad = new_F[moved] - F[moved], grad[moved]
-        F, val = new_F[moved], new_val[moved]
+        new_F, new_val = new_F[moved], new_val[moved]
+        frames[rows], values[rows] = new_F, new_val
+        move, last_grad = new_F - F[moved], grad[moved]
+        past = ETA * weight[moved]
+        weight = past + 1.0
+        ref = (past * ref[moved] + new_val) / weight
+        F, val = new_F, new_val
     best = int(np.argmin(values))
     return float(values[best]), frames[best]

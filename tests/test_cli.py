@@ -160,6 +160,21 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(out)["ideal"] is False
 
+    def test_ideal_takes_the_eigenvalues_once(self, capsys, monkeypatch):
+        # curvature_report and detect_ideal_pattern share the operator's
+        # cached eigenvalues
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return eigvalsh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        code, _, _ = run(capsys, "ideal", "--no-optimizer", "--r", "3", "--spectrum", "1,2,3,6")
+        assert code == 0
+        assert calls == [(4, 4)]
+
     def test_positive_verdicts_exit_zero(self, capsys):
         code, _, _ = run(capsys, "ideal", "--r", "3", "--spectrum", "1,2,3,6")
         assert code == 0

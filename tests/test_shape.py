@@ -55,6 +55,14 @@ class TestShapeOperator:
         with pytest.raises(ValueError):
             A.matrix[0, 0] = 5.0
 
+    def test_eigenvalues_are_computed_once_and_read_only(self):
+        A = ShapeOperator(np.diag([3.0, 1.0, 2.0]))
+        eig = A.eigenvalues()
+        assert A.eigenvalues() is eig
+        assert list(eig) == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError):
+            eig[0] = 5.0
+
     def test_json_dict(self):
         A = ShapeOperator(np.eye(2))
         d = A.to_json_dict()

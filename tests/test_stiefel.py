@@ -1,5 +1,5 @@
 """The Stiefel optimizer: stacked kernels, restart independence, the stall exit,
-and its value against the exact subset infimum."""
+the line search's effort, and its value against the exact subset infimum."""
 
 import numpy as np
 import pytest
@@ -81,6 +81,44 @@ def test_stall_exit_ends_before_the_iteration_cap(monkeypatch, r, exact):
     assert len(rounds) < MAX_ITERS
     assert abs(value - exact) <= 1e-12
     assert frame.shape == (4, r)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [np.diag([1.0, 2.0, 3.0, 6.0]), random_symmetric(np.random.default_rng(7), 6)],
+    ids=["diag(1, 2, 3, 6)", "random 6x6"],
+)
+def test_line_search_needs_fewer_than_two_rounds_per_step(monkeypatch, A):
+    # each tau_gradient call is one gradient step and each retract_qf call one
+    # retraction round; the monotone Armijo rule took about 2.1 and 4.1 here
+    counts = {"rounds": 0, "steps": 0}
+    retract, gradient = stiefel.retract_qf, stiefel.tau_gradient
+
+    def counted_retract(Y):
+        counts["rounds"] += 1
+        return retract(Y)
+
+    def counted_gradient(A, F):
+        counts["steps"] += 1
+        return gradient(A, F)
+
+    monkeypatch.setattr(stiefel, "retract_qf", counted_retract)
+    monkeypatch.setattr(stiefel, "tau_gradient", counted_gradient)
+    minimize_tau(A, 3)
+    assert counts["rounds"] < 2 * counts["steps"]
+
+
+def test_value_is_tau_of_the_returned_orthonormal_frame():
+    # a nonmonotone search may end above a value it visited, so the reported
+    # value must be the returned frame's own
+    rng = np.random.default_rng(34)
+    for k in range(60):
+        n = 4 + k % 6
+        r = int(rng.integers(2, n))
+        A = random_symmetric(rng, n) * 10.0 ** int(rng.integers(-3, 4))
+        value, frame = minimize_tau(A, r, 8, 700 + k)
+        assert value == tau_of_frame(A, frame)
+        assert np.max(np.abs(frame.T @ frame - np.eye(r))) <= 1e-12
 
 
 hypothesis = pytest.importorskip("hypothesis")
