@@ -318,7 +318,7 @@ def detect_ideal_pattern(A: ShapeOperator, tol: float = DEFAULT_TOL) -> Optional
     returns the first assignment whose remaining n-3 values are mutually equal
     and equal to alpha+beta+gamma, all within tol; None when no triple works.
     """
-    eig = np.sort(A.eigenvalues())
+    eig = A.eigenvalues()
     n = A.n
     if n < 4:
         return None
@@ -367,19 +367,3 @@ def null2type_check(A: ShapeOperator, tol: float = DEFAULT_TOL) -> Null2TypeRepo
         status="null-2-type-candidate", a=report.trA2, H=report.H, trA2=report.trA2
     )
 
-
-__all__ = [
-    "DeltaResult",
-    "IdealPattern",
-    "Null2TypeReport",
-    "SpectrumReport",
-    "ShapeOperator",
-    "tau_from_spectrum",
-    "combinatorial_inf",
-    "delta_from_spectrum",
-    "delta_invariant",
-    "chen_bound",
-    "ideality_gap",
-    "detect_ideal_pattern",
-    "null2type_check",
-]

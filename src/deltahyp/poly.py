@@ -387,6 +387,9 @@ class Polynomial:
                     remainder[key] = val
         return Polynomial(self.ring, quotient)
 
+    def __floordiv__(self, divisor):
+        return self.exact_div(divisor)
+
     def content(self) -> Fraction:
         """Positive rational content (gcd of coefficients); 0 for zero."""
         if self.is_zero():
@@ -492,22 +495,50 @@ def _from_dense(coeffs: list[Polynomial], main: str, ring: PolynomialRing) -> Po
     return Polynomial(ring, terms)
 
 
-def _pseudo_remainder(f: list[Polynomial], g: list[Polynomial]) -> list[Polynomial]:
-    """lc(g)^(df - dg + 1) * f mod g, trailing zeros dropped, for dense views
-    (constant first) of degrees df >= dg >= 1.  Every step multiplies by lc(g),
-    also past a zero leading coefficient: the subresultant divisions need the
-    exact power."""
-    r = list(f)
-    dg = len(g) - 1
-    for _ in range(len(f) - dg):
-        lead = r.pop()
-        r = [c * g[-1] for c in r]
-        shift = len(r) - dg
-        for k in range(dg):
-            r[shift + k] = r[shift + k] - lead * g[k]
-    while r and r[-1].is_zero():
-        r.pop()
-    return r
+def subresultant_prs(f: list, g: list) -> tuple[list, list, object, int]:
+    """The subresultant pseudo-remainder sequence of f and g, to its end.
+
+    Collins (J. ACM 14, 1967), Brown & Traub (J. ACM 18, 1971), as in Cohen,
+    GTM 138, Alg. 3.3.1 and 3.3.7 without the content steps.  ``f`` and ``g``
+    are descending coefficient lists, leading coefficients nonzero, with
+    deg f >= deg g >= 1.  A step divides the pseudo-remainder
+    lc(B)^(delta+1) * A mod B, delta = deg A - deg B, by lc(A) * h^delta; the
+    division is exact, also for degree gaps of 2 or more, and bounds
+    coefficient growth.  It uses only ``*``, ``-``, exact ``//`` and ``!= 0``,
+    so it runs over ``int`` and over ``Polynomial`` alike.
+
+    Returns (A, B, h, sign): B is the last nonzero member, constant exactly
+    when f and g are coprime, A the member before it, h the final h, and
+    sign the product of (-1)^(deg A * deg B) over the steps.  For constant B,
+    Res(f, g) = sign * B[0]^deg A / h^(deg A - 1).
+    """
+    a, b = f, g
+    m, n = len(a) - 1, len(b) - 1
+    lead, h, sign = 1, 1, 1
+    while n:
+        delta = m - n
+        if m & n & 1:
+            sign = -sign
+        # every one of the delta + 1 steps multiplies by lc(B), also past a
+        # zero leading coefficient: the divisions need the exact power
+        lc = b[0]
+        r = list(a)
+        for i in range(delta + 1):
+            c = r[i]
+            r[i + 1 :] = [lc * x - c * y for x, y in zip(r[i + 1 :], b[1:])] + [
+                lc * x for x in r[i + n + 1 :]]
+        r = r[delta + 1 :]
+        top = next((i for i, c in enumerate(r) if c != 0), None)
+        if top is None:
+            break
+        divisor = lead * h**delta
+        a, m = b, n
+        b = [c // divisor for c in r[top:]]
+        n = len(b) - 1
+        lead = a[0]
+        if delta:
+            h = lead**delta // h ** (delta - 1)
+    return a, b, h, sign
 
 
 def _coefficient_content(coeffs: Iterable[Polynomial], ring: PolynomialRing) -> Polynomial:
@@ -522,14 +553,13 @@ def _coefficient_content(coeffs: Iterable[Polynomial], ring: PolynomialRing) -> 
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Multivariate gcd by the subresultant pseudo-remainder sequence.
+    """Multivariate gcd by the subresultant PRS (``subresultant_prs``).
 
-    Collins (J. ACM 14, 1967), Brown & Traub (J. ACM 18, 1971), as in Cohen,
-    GTM 138, Alg. 3.3.1: its divisions are exact and bound coefficient growth,
-    so contents in the main variable are taken only before the loop and of the
-    last nonzero remainder.  Result has rational content 1 and positive
-    leading coefficient; gcd(0, g) is the normalized g; gcd of two nonzero
-    constants is 1.
+    Its divisions are exact and bound coefficient growth, so contents in the
+    main variable are taken only before it and of its last member; the same
+    PRS gives ``resultant``'s integer values.  Result has rational content 1
+    and positive leading coefficient; gcd(0, g) is the normalized g; gcd of
+    two nonzero constants is 1.
     """
     if f.ring != g.ring:
         raise RingMismatchError("gcd of polynomials from different rings")
@@ -552,24 +582,14 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     cont_f = _coefficient_content(f.coefficients_in(main), ring)
     cont_g = _coefficient_content(g.coefficients_in(main), ring)
     cont = poly_gcd(cont_f, cont_g)
-    a = f.exact_div(cont_f).primitive().coefficients_in(main)
-    b = g.exact_div(cont_g).primitive().coefficients_in(main)
+    a = f.exact_div(cont_f).primitive().coefficients_in(main)[::-1]
+    b = g.exact_div(cont_g).primitive().coefficients_in(main)[::-1]
     if len(a) < len(b):
         a, b = b, a
-    lead = h = ring.one()
-    while True:
-        delta = len(a) - len(b)
-        r = _pseudo_remainder(a, b)
-        if not r:
-            break
-        if len(r) == 1:
-            return cont  # coprime in the main variable
-        divisor = lead * h**delta
-        a, b = b, [c.exact_div(divisor) for c in r]
-        lead = a[-1]
-        if delta:
-            h = (lead**delta).exact_div(h ** (delta - 1))
-    pp = _from_dense(b, main, ring).exact_div(_coefficient_content(b, ring))
+    last = subresultant_prs(a, b)[1]
+    if len(last) == 1:
+        return cont  # coprime in the main variable
+    pp = _from_dense(last[::-1], main, ring).exact_div(_coefficient_content(last, ring))
     return (pp * cont).primitive()
 
 

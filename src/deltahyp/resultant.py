@@ -13,10 +13,11 @@ point of the grid 0..bound (one axis per variable), and each value is exact:
 ``det_bareiss`` runs a fraction-free Bareiss elimination on plain ``int``s.
 ``resultant`` clears each operand's denominators once, since
 Res(lf, mg) = l^deg g * m^deg f * Res(f, g), and takes each value from the
-two evaluated coefficient lists by an integer subresultant PRS
-(``_int_resultant``).  All divisions in both kernels are exact.  Integer
-forward differences interpolate the values in Newton form, which is converted
-to monomials, and one division by the scale gives the rational determinant.
+two evaluated coefficient lists by the subresultant PRS that ``poly_gcd``
+also runs, here over ``int`` (``_int_resultant``).  All divisions in both
+kernels are exact.  Integer forward differences interpolate the values in
+Newton form, which is converted to monomials, and one division by the scale
+gives the rational determinant.
 A naive cofactor expansion on polynomial entries is kept as a cross-checking
 oracle for small matrices.
 """
@@ -28,7 +29,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import DegreeError, RingMismatchError
-from .poly import Polynomial
+from .poly import Polynomial, subresultant_prs
 
 
 def _sylvester_rows(fc: list, gc: list, zero) -> list[list]:
@@ -90,11 +91,9 @@ def _int_resultant(f: list[int], g: list[int]) -> int:
       - if f's drops by k, the value is (-1)^(n*k) * lc(g)^k * Res(f, g);
       - if g's drops by k, the value is lc(f)^k * Res(f, g);
     with Res(f, g) taken at the lower degree (a zero polynomial keeps its
-    constant slot).  Res(c, g) = c^n and Res(f, c) = c^m for constants.
-    With both leading coefficients nonzero, the subresultant PRS of Collins
-    (J. ACM 14, 1967) and Brown & Traub (J. ACM 18, 1971), as in Cohen, GTM
-    138, Alg. 3.3.7 without the content step, gives the value with exact
-    divisions; it holds for non-normal sequences (degree gaps of 2 or more).
+    constant slot).  Res(c, g) = c^n and Res(f, c) = c^m for constants, and
+    Res(f, g) = (-1)^(m*n) * Res(g, f).  Otherwise the value comes from
+    ``poly.subresultant_prs``, the PRS that ``poly_gcd`` also runs.
     """
     m, n = len(f) - 1, len(g) - 1
     k = next((i for i, c in enumerate(f) if c), m)
@@ -109,34 +108,11 @@ def _int_resultant(f: list[int], g: list[int]) -> int:
         return f[0] ** n
     if not n:
         return g[0] ** m
-    sign = 1
     if m < n:
-        f, g, m, n = g, f, n, m
-        if m & n & 1:
-            sign = -sign
-    lead, h = 1, 1
-    while n:
-        delta = m - n
-        if m & n & 1:
-            sign = -sign
-        # pseudo-remainder lc(g)^(delta+1) * f mod g, then divided by lead * h^delta
-        lc = g[0]
-        r = list(f)
-        for i in range(delta + 1):
-            c = r[i]
-            r[i + 1 :] = [lc * a - c * b for a, b in zip(r[i + 1 :], g[1:])] + [
-                lc * a for a in r[i + n + 1 :]]
-        r = r[delta + 1 :]
-        top = next((i for i, c in enumerate(r) if c), None)
-        if top is None:
-            return 0
-        divisor = lead * h**delta
-        f, m = g, n
-        g = [c // divisor for c in r[top:]]
-        n = len(g) - 1
-        lead = f[0]
-        h = lead**delta // h ** (delta - 1) if delta else h
-    return sign * g[0] ** m // h ** (m - 1)
+        return (-1) ** (m * n) * _int_resultant(g, f)
+    a, b, h, sign = subresultant_prs(f, g)
+    m = len(a) - 1
+    return 0 if len(b) > 1 else sign * b[0] ** m // h ** (m - 1)
 
 
 def _newton_to_monomial(values: list[int]) -> list[int]:

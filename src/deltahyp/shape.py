@@ -98,7 +98,7 @@ def curvature_report(A: ShapeOperator) -> SpectrumReport:
     tau = (n^2 H^2 - tr A^2) / 2, which equals the pair sum of eigenvalue
     products for a symmetric operator.
     """
-    eig = np.sort(A.eigenvalues())
+    eig = A.eigenvalues()
     n = A.n
     with np.errstate(over="ignore"):  # an overflow is reported just below
         H = float(np.sum(eig) / n)

@@ -34,6 +34,8 @@ last frame.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 GRAD_TOL = 1e-10
@@ -139,12 +141,21 @@ def minimize_tau(
 ) -> tuple[float, np.ndarray]:
     """Best frame found over independent random restarts.
 
+    The search runs on A / s and returns s^2 times its value, tau being
+    quadratic in A.  s = 1 when max|A_ij| >= 1 or A = 0; otherwise s is the
+    largest power of two at most max|A_ij|.  A small operator's natural step
+    grows like 1 / max|A_ij|^2, past ``BB_MAX_STEP``; dividing by a power of
+    two is exact, so the value is still the returned frame's tau.
+
     Restart k starts from its own generator derived from (seed, k), and no
     restart reads another's state, so runs are reproducible and a restart's
     result does not depend on how many run beside it.  A restart's result is
     its last frame; ties go to the first restart with the smallest value.
     """
     n = A.shape[0]
+    peak = float(np.max(np.abs(A), initial=0.0))
+    s = math.ldexp(0.5, math.frexp(peak)[1]) if 0.0 < peak < 1.0 else 1.0
+    A = A / s
     starts = np.empty((restarts, n, r))
     for k in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
@@ -173,4 +184,4 @@ def minimize_tau(
         ref = (past * ref[moved] + new_val) / weight
         F, val = new_F, new_val
     best = int(np.argmin(values))
-    return float(values[best]), frames[best]
+    return float(values[best]) * s * s, frames[best]

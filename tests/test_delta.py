@@ -190,6 +190,14 @@ class TestDeltaInvariant:
         assert r1.delta == r2.delta
         assert r1.inf_tau_L == r2.inf_tau_L
 
+    def test_small_operator_reads_both_agree(self):
+        # unscaled, the step cap keeps the search 4.7e-8 above the exact
+        # minimum after all its iterations, past the 1e-8 tolerance
+        raw = np.random.default_rng(1).normal(size=(8, 8))
+        M = (raw + raw.T) / 2
+        A = ShapeOperator(M * 5e-3 / np.max(np.abs(np.linalg.eigvalsh(M))))
+        assert delta_invariant(A, 3).method == "both-agree"
+
 
 class TestIdeality:
     def test_gap_closes_on_worked_example(self):

@@ -205,6 +205,14 @@ def test_poly_gcd_up_to_a_unit(a, b, c):
     assert_proportional(poly_gcd(f, g), sympy.gcd(to_sympy(f), to_sympy(g)))
 
 
+def test_poly_gcd_through_a_non_normal_sequence():
+    # x^5 + 2x^2 + 1 mod x^3 + 2 is 1, so the PRS over Q[y] skips degrees
+    common = RING.parse("x + y")
+    f, g = RING.parse("x^5 + 2*x^2 + 1") * common, RING.parse("x^3 + 2") * common
+    assert_matches(poly_gcd(f, g), sympy.gcd(to_sympy(f), to_sympy(g)))
+    assert poly_gcd(f, g) == common
+
+
 UNIVARIATE = PolynomialRing(("x",))
 P = poly_module.MODULUS
 # a coefficient is a multiple of P one time in four, so a leading one often is

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from deltahyp import DegreeError, Polynomial, PolynomialRing, poly_gcd
 from deltahyp.errors import RingMismatchError
+from deltahyp.poly import subresultant_prs
 from deltahyp.resultant import (
     _int_det,
     _int_resultant,
@@ -218,6 +219,15 @@ class TestIntResultant:
         f, g = [1, 0, 0, 2, 0, 1], [1, 0, 0, 2]
         assert _int_resultant(f, g) == _sylvester_det(f, g) != 0
         assert _int_resultant(g, f) == _sylvester_det(g, f)
+
+    def test_one_prs_runs_over_int_and_polynomial(self):
+        # the non-normal pair above, as ints and as constant polynomials; scaled,
+        # h and the divisions are not trivial
+        for f, g in (([1, 0, 0, 2, 0, 1], [1, 0, 0, 2]), ([2, 0, 0, 4, 0, 2], [3, 0, 0, 6])):
+            ints = subresultant_prs(f, g)
+            polys = subresultant_prs(*([RING.const(c) for c in p] for p in (f, g)))
+            assert polys == ints
+            assert len(ints[1]) == 1 and ints[1][0] != 0
 
     def test_formal_degree_drops(self):
         f, g = [3, 1, 4], [2, 7]
