@@ -268,7 +268,13 @@ def _cmd_replay(args) -> int:
         keep_intermediates=args.keep_intermediates,
     )
     report = replay_all(cfg)
-    payload = report.to_json_dict()
+    # the text lines render every curve again; JSON output does not read them
+    lines = _replay_lines(args, report) if args.format == "text" else []
+    _emit(args, report.to_json_dict(), lines)
+    return EXIT_OK if report.verdict == VERDICT_CONSTANT else EXIT_NEGATIVE
+
+
+def _replay_lines(args, report) -> list[str]:
     lines = [f"replay n={args.n} a_mode={args.a_mode}"]
     for cp in report.checkpoints:
         lines.append(f"  checkpoint {cp.id}: {cp.status}")
@@ -279,8 +285,7 @@ def _cmd_replay(args) -> int:
     lines.append(f"curve12: {report.curve12.render()}")
     lines.append(f"final resultant: {report.final_resultant.render()}")
     lines.append(f"verdict: {report.verdict}")
-    _emit(args, payload, lines)
-    return EXIT_OK if report.verdict == VERDICT_CONSTANT else EXIT_NEGATIVE
+    return lines
 
 
 def _check_tol(args) -> None:

@@ -7,12 +7,19 @@ order is graded lexicographic: higher total degree first, ties broken by the
 exponent vector compared left to right (earlier ring variables are stronger).
 Canonical text renders terms in descending order, e.g. ``-1/2*w212*E + 44*H^3``.
 
+Products and exact quotients run on integers: each operand's coefficients are
+put over their common denominator once, the inner loops multiply, add and
+divide ``int``s, and one ``Fraction`` is formed per output term.  Results of
+the arithmetic are built by ``_make``, which trusts its input; ``Polynomial``
+itself validates.
+
 Everything here is immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -81,6 +88,12 @@ class PolynomialRing:
 
 def _grlex_key(exp: tuple[int, ...]) -> tuple:
     return (sum(exp), exp)
+
+
+def _cleared(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[int, dict]:
+    """(D, {exp: c * D}) with D the lcm of the coefficients' denominators."""
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
 
 
 def _signed_content(p: "Polynomial") -> Fraction:
@@ -156,24 +169,34 @@ class Polynomial:
         self._check(other)
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
-            out[exp] = out.get(exp, 0) + coeff
-        return Polynomial(self.ring, out)
+            if exp in out:
+                coeff += out[exp]
+                if not coeff:
+                    del out[exp]
+                    continue
+            out[exp] = coeff
+        return _make(self.ring, out)
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return _make(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, Polynomial):
+            return self.scale(other)
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                out[exp] = out.get(exp, 0) + c1 * c2
-        return Polynomial(self.ring, out)
+        d1, t1 = _cleared(self.terms)
+        d2, t2 = _cleared(other.terms)
+        out: dict[tuple[int, ...], int] = {}
+        get, add = out.get, operator.add
+        for e1, c1 in t1.items():
+            for e2, c2 in t2.items():
+                exp = tuple(map(add, e1, e2))
+                out[exp] = get(exp, 0) + c1 * c2
+        den = d1 * d2
+        return _make(self.ring, {e: Fraction(c, den) for e, c in out.items() if c})
 
     def __rmul__(self, other):
         return self * other
@@ -203,7 +226,9 @@ class Polynomial:
 
     def scale(self, value) -> "Polynomial":
         value = Fraction(value)
-        return Polynomial(self.ring, {e: c * value for e, c in self.terms.items()})
+        if not value:
+            return self.ring.zero()
+        return _make(self.ring, {e: c * value for e, c in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -272,7 +297,7 @@ class Polynomial:
         dense: list[dict] = [{} for _ in range(self.degree(var) + 1)]
         for exp, coeff in self.terms.items():
             dense[exp[i]][exp[:i] + (0,) + exp[i + 1 :]] = coeff
-        return [Polynomial(self.ring, terms) for terms in dense]
+        return [_make(self.ring, terms) for terms in dense]
 
     def rewrite_product(self, var_a: str, var_b: str, value: "Polynomial") -> "Polynomial":
         """Replace every occurrence of the product ``var_a*var_b`` by ``value``.
@@ -309,7 +334,7 @@ class Polynomial:
     def diff(self, var: str) -> "Polynomial":
         i = self.ring.index(var)
         # lowering one exponent is injective, so no two terms meet
-        return Polynomial(
+        return _make(
             self.ring,
             {
                 exp[:i] + (exp[i] - 1,) + exp[i + 1 :]: coeff * exp[i]
@@ -358,34 +383,49 @@ class Polynomial:
     # -- division / normalization --------------------------------------------
 
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
-        """Exact division; raises ExactDivisionError if not divisible."""
+        """Exact division; raises ExactDivisionError if not divisible.
+
+        Write self = A / d1 and divisor = g * B / d2 with A and B integral and
+        B primitive.  By Gauss's lemma a product of primitive polynomials is
+        primitive, so if A = B * Q over the rationals, Q = (c / d) * Q' with
+        Q' primitive makes c / d the content of A, an integer: B divides A
+        over Q only if A / B is integral.  The division therefore runs on
+        integers, and a leading coefficient that lc(B) does not divide is a
+        nonzero remainder.  The quotient is (A / B) * d2 / (d1 * g).
+        """
         divisor = self._coerce(divisor)
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if divisor.is_constant():
             return self.scale(Fraction(1) / divisor.constant_value())
-        remainder = dict(self.terms)
-        quotient: dict[tuple[int, ...], Fraction] = {}
-        div_exp, div_coeff = divisor.leading()
+        d1, remainder = _cleared(self.terms)
+        d2, b = _cleared(divisor.terms)
+        g = math.gcd(*b.values())
+        if g != 1:
+            b = {e: c // g for e, c in b.items()}
+        div_exp = divisor.leading()[0]
+        div_coeff = b[div_exp]
+        quotient: dict[tuple[int, ...], int] = {}
+        add, sub = operator.add, operator.sub
         while remainder:
             exp = max(remainder, key=_grlex_key)
-            coeff = remainder[exp]
-            q_exp = tuple(a - b for a, b in zip(exp, div_exp))
-            if any(e < 0 for e in q_exp):
+            q_exp = tuple(map(sub, exp, div_exp))
+            q_coeff, rem = divmod(remainder[exp], div_coeff)
+            if rem or min(q_exp) < 0:
                 raise ExactDivisionError("division left a nonzero remainder")
             # the remainder's leading term falls at every step, so no
             # quotient monomial repeats
-            q_coeff = coeff / div_coeff
             quotient[q_exp] = q_coeff
-            for d_exp, d_coeff in divisor.terms.items():
-                key = tuple(a + b for a, b in zip(q_exp, d_exp))
+            for d_exp, d_coeff in b.items():
+                key = tuple(map(add, q_exp, d_exp))
                 val = remainder.get(key, 0) - q_coeff * d_coeff
-                if val == 0:
-                    remainder.pop(key, None)
-                else:
+                if val:
                     remainder[key] = val
-        return Polynomial(self.ring, quotient)
+                else:
+                    remainder.pop(key, None)
+        den = d1 * g
+        return _make(self.ring, {e: Fraction(q * d2, den) for e, q in quotient.items()})
 
     def __floordiv__(self, divisor):
         return self.exact_div(divisor)
@@ -437,6 +477,16 @@ class Polynomial:
 
     def __repr__(self):
         return f"<Polynomial {self.render()}>"
+
+
+def _make(ring: PolynomialRing, terms: dict[tuple[int, ...], Fraction]) -> Polynomial:
+    """A Polynomial that takes ``terms`` as is: exponent tuples of the ring's
+    width mapped to nonzero ``Fraction``s, unchecked."""
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "ring", ring)
+    object.__setattr__(p, "terms", terms)
+    object.__setattr__(p, "_hash", None)
+    return p
 
 
 # -- parsing -------------------------------------------------------------------

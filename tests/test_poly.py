@@ -17,7 +17,7 @@ from deltahyp import (
     UnknownVariableError,
     poly_gcd,
 )
-from deltahyp.errors import DeltahypError
+from deltahyp.errors import DeltahypError, ExactDivisionError
 from deltahyp.poly import fraction_text
 
 from conftest import time_limit
@@ -166,6 +166,152 @@ class TestArithmetic:
     def test_scale(self):
         p = RING.parse("2*x + 4")
         assert p.scale(Fraction(1, 2)) == RING.parse("x + 2")
+
+
+# -- the integer kernel against the Fraction loops it replaced -------------------
+
+
+def fraction_add(f, g):
+    out = dict(f.terms)
+    for exp, coeff in g.terms.items():
+        out[exp] = out.get(exp, 0) + coeff
+    return {e: c for e, c in out.items() if c}
+
+
+def fraction_mul(f, g):
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            exp = tuple(a + b for a, b in zip(e1, e2))
+            out[exp] = out.get(exp, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def fraction_exact_div(f, g):
+    remainder = dict(f.terms)
+    quotient = {}
+    div_exp, div_coeff = g.leading()
+    while remainder:
+        exp = max(remainder, key=lambda e: (sum(e), e))
+        q_exp = tuple(a - b for a, b in zip(exp, div_exp))
+        if any(e < 0 for e in q_exp):
+            raise ExactDivisionError("division left a nonzero remainder")
+        q_coeff = remainder[exp] / div_coeff
+        quotient[q_exp] = q_coeff
+        for d_exp, d_coeff in g.terms.items():
+            key = tuple(a + b for a, b in zip(q_exp, d_exp))
+            val = remainder.get(key, 0) - q_coeff * d_coeff
+            if val == 0:
+                remainder.pop(key, None)
+            else:
+                remainder[key] = val
+    return quotient
+
+
+def assert_well_formed(p):
+    width = len(p.ring.vars)
+    for exp, coeff in p.terms.items():
+        assert type(exp) is tuple and len(exp) == width
+        assert all(type(e) is int and e >= 0 for e in exp)
+        assert type(coeff) is Fraction and coeff != 0
+
+
+# small and large numerators over small and large denominators, mixed in one
+# polynomial, so the common denominators differ from term to term
+KERNEL_COEFFS = st.builds(
+    Fraction,
+    st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30)),
+    st.one_of(st.integers(1, 12), st.integers(1, 10**18)),
+)
+KERNEL_POLYS = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * len(RING.vars)), KERNEL_COEFFS, max_size=6
+).map(lambda terms: Polynomial(RING, terms))
+NONCONSTANT = KERNEL_POLYS.filter(lambda p: not p.is_constant())
+# a nonunit content of either sign, so divisors lead with negative coefficients too
+CONTENTS = st.builds(
+    Fraction,
+    st.integers(-(10**12), 10**12).filter(bool),
+    st.integers(1, 10**12),
+)
+KERNEL_SETTINGS = settings(derandomize=True, max_examples=80, deadline=None)
+
+
+class TestIntegerKernel:
+    @KERNEL_SETTINGS
+    @given(KERNEL_POLYS, KERNEL_POLYS)
+    def test_add_sub_mul_match_the_fraction_loops(self, f, g):
+        for result, expected in [
+            (f + g, fraction_add(f, g)),
+            (f - g, fraction_add(f, Polynomial(RING, {e: -c for e, c in g.terms.items()}))),
+            (f * g, fraction_mul(f, g)),
+            (-f, {e: -c for e, c in f.terms.items()}),
+        ]:
+            assert_well_formed(result)
+            assert result.terms == expected
+
+    @KERNEL_SETTINGS
+    @given(KERNEL_POLYS, KERNEL_COEFFS)
+    def test_scalar_products_scale(self, f, value):
+        for result in (f * value, value * f, f.scale(value)):
+            assert_well_formed(result)
+            assert result.terms == {e: c * value for e, c in f.terms.items() if c * value}
+
+    @KERNEL_SETTINGS
+    @given(KERNEL_POLYS, NONCONSTANT, CONTENTS)
+    def test_exact_div_matches_the_fraction_loop(self, f, g, content):
+        g = g.primitive().scale(content)
+        product = f * g
+        quotient = product.exact_div(g)
+        assert_well_formed(quotient)
+        assert quotient.terms == fraction_exact_div(product, g) == f.terms
+
+    @KERNEL_SETTINGS
+    @given(KERNEL_POLYS, NONCONSTANT, CONTENTS, KERNEL_COEFFS.filter(bool))
+    def test_a_product_off_by_a_constant_does_not_divide(self, f, g, content, shift):
+        # g is not constant, so it does not divide f * g + shift
+        g = g.primitive().scale(content)
+        dividend = f * g + shift
+        with pytest.raises(ExactDivisionError, match="^division left a nonzero remainder$"):
+            fraction_exact_div(dividend, g)
+        with pytest.raises(ExactDivisionError, match="^division left a nonzero remainder$"):
+            dividend.exact_div(g)
+
+    @KERNEL_SETTINGS
+    @given(KERNEL_POLYS, NONCONSTANT)
+    def test_exact_div_raises_where_the_fraction_loop_does(self, f, g):
+        try:
+            expected = fraction_exact_div(f, g)
+        except ExactDivisionError:
+            with pytest.raises(ExactDivisionError, match="^division left a nonzero remainder$"):
+                f.exact_div(g)
+        else:
+            assert f.exact_div(g).terms == expected
+
+    @pytest.mark.parametrize(
+        "dividend, divisor, quotient",
+        [
+            ("x^2 - 1/4", "2*x + 1", "1/2*x - 1/4"),
+            ("-6*x^2*y + 3/5*y", "-4*x^2 + 2/5", "3/2*y"),
+            ("x + 1", "2*x + 1", None),  # lc(B) = 2 does not divide 1
+            ("x*y", "x^2", None),  # a negative quotient exponent
+        ],
+        ids=["half-integral", "negative-content", "lc-does-not-divide", "negative-exponent"],
+    )
+    def test_exact_div_over_the_cleared_denominators(self, dividend, divisor, quotient):
+        f, g = RING.parse(dividend), RING.parse(divisor)
+        if quotient is None:
+            with pytest.raises(ExactDivisionError, match="^division left a nonzero remainder$"):
+                f.exact_div(g)
+        else:
+            assert f.exact_div(g) == RING.parse(quotient)
+
+    @KERNEL_SETTINGS
+    @given(KERNEL_POLYS, st.sampled_from(RING.vars))
+    def test_structural_results_are_well_formed(self, f, var):
+        assert_well_formed(f.diff(var))
+        assert_well_formed(f.scale(0))
+        for coeff in f.coefficients_in(var):
+            assert_well_formed(coeff)
 
 
 class TestCalculus:
