@@ -207,11 +207,12 @@ def delta_from_spectrum(spectrum: list[Number], r: int) -> tuple[Number, Number,
 # -- floating-point operations ------------------------------------------------------
 
 
-def _quadratic_tol(spectrum, tol: float) -> float:
-    """tol * scale**2, scale = max(1, max|lambda|): the tolerance of a
-    quantity quadratic in the eigenvalues, whose float rounding grows with
-    their square (delta(r), tau(L) and the gap to the universal bound)."""
-    return tol * max(1.0, max(abs(x) for x in spectrum)) ** 2
+def _scaled_tol(spectrum, tol: float, degree: int) -> float:
+    """tol * scale**degree, scale = max(1, max|lambda|): the tolerance of a
+    quantity of that degree in the eigenvalues, whose float rounding grows
+    with that power of them.  Linear: H and the sums of three eigenvalues;
+    quadratic: delta(r), tau(L) and the gap to the universal bound."""
+    return tol * max(1.0, max(abs(x) for x in spectrum)) ** degree
 
 
 def delta_invariant(
@@ -230,10 +231,10 @@ def delta_invariant(
     is the infimum over all r-planes.  The optimizer candidate searches all
     orthonormal r-frames by projected gradient descent and is the
     cross-check.  The smaller value wins and both are recorded.  Both
-    comparisons are judged on ``_quadratic_tol``: tau(L) is quadratic in the
-    eigenvalues, so the optimizer's float rounding grows with their square,
-    and a value below the exact one by less than that is rounding, not a
-    better plane.
+    comparisons are judged on ``_scaled_tol`` of degree 2: tau(L) is
+    quadratic in the eigenvalues, so the optimizer's float rounding grows
+    with their square, and a value below the exact one by less than that is
+    rounding, not a better plane.
     """
     if use_optimizer and restarts < 1:
         raise ConfigError(f"the optimizer needs at least one restart, got {restarts}")
@@ -245,7 +246,7 @@ def delta_invariant(
     spectrum = list(report.principal_curvatures)
     comb_value, witness_subset = combinatorial_inf(spectrum, r)
     comb_value = float(comb_value)
-    scaled_tol = _quadratic_tol(spectrum, tol)
+    scaled_tol = _scaled_tol(spectrum, tol, 2)
 
     opt_value = None
     opt_frame = None
@@ -294,7 +295,7 @@ def ideality_gap(
     """Gap between the universal bound and delta(r); ideal when the gap closes.
 
     Both terms are quadratic in the eigenvalues, so the gap is judged on
-    ``_quadratic_tol``, as ``delta_invariant`` judges the optimizer.
+    ``_scaled_tol`` of degree 2, as ``delta_invariant`` judges the optimizer.
     """
     result = delta_invariant(
         A, r, restarts=restarts, seed=seed, tol=tol, use_optimizer=use_optimizer
@@ -306,7 +307,7 @@ def ideality_gap(
         "delta": result.delta,
         "bound": bound,
         "gap": gap,
-        "ideal": abs(gap) <= _quadratic_tol(result.spectrum.principal_curvatures, tol),
+        "ideal": abs(gap) <= _scaled_tol(result.spectrum.principal_curvatures, tol, 2),
         "result": result,
     }
 
@@ -317,30 +318,30 @@ def detect_ideal_pattern(A: ShapeOperator, tol: float = DEFAULT_TOL) -> Optional
     Scans triples of sorted-eigenvalue indices in lexicographic order and
     returns the first assignment whose remaining n-3 values are mutually equal
     and equal to alpha+beta+gamma, all within tol; None when no triple works.
+    The remaining values are sorted, and subtracting s keeps them sorted in
+    floating point, so their largest distance to s is the one of the first or
+    the last of them: each triple costs O(1).
     """
     eig = A.eigenvalues()
     n = A.n
     if n < 4:
         return None
-    scale = max(1.0, float(np.max(np.abs(eig))))
-    # A match puts its n-3 remaining values within tol*scale of s, so some run
-    # of n-3 consecutive sorted values spans at most 2*tol*scale.  When all four
-    # such runs span more than twice that (slack for rounding), no triple can
-    # match and the scan is skipped.
-    if np.all(eig[n - 4 :] - eig[:4] > 4 * tol * scale):
+    limit = _scaled_tol(eig, tol, 1)
+    # A match puts its n-3 remaining values within limit of s, so some run of
+    # n-3 consecutive sorted values spans at most 2*limit.  When all four such
+    # runs span more than twice that (slack for rounding), no triple can match
+    # and the scan is skipped.
+    if np.all(eig[n - 4 :] - eig[:4] > 4 * limit):
         return None
-    for triple in combinations(range(n), 3):
-        rest = [i for i in range(n) if i not in triple]
-        rest_values = eig[rest]
-        s = float(eig[triple[0]] + eig[triple[1]] + eig[triple[2]])
-        if float(np.max(np.abs(rest_values - s))) <= tol * scale:
-            return IdealPattern(
-                alpha=float(eig[triple[0]]),
-                beta=float(eig[triple[1]]),
-                gamma=float(eig[triple[2]]),
-                repeated=s,
-                permutation=tuple(triple) + tuple(rest),
-            )
+    e = eig.tolist()
+    for i, j, k in combinations(range(n), 3):
+        # the first and the last index outside the triple
+        lo = 0 if i else 1 if j > 1 else 2 if k > 2 else 3
+        hi = n - 1 if k < n - 1 else n - 2 if j < n - 2 else n - 3 if i < n - 3 else n - 4
+        s = e[i] + e[j] + e[k]
+        if max(abs(e[lo] - s), abs(e[hi] - s)) <= limit:
+            rest = tuple(m for m in range(n) if m not in (i, j, k))
+            return IdealPattern(e[i], e[j], e[k], repeated=s, permutation=(i, j, k) + rest)
     return None
 
 
@@ -349,12 +350,13 @@ def null2type_check(A: ShapeOperator, tol: float = DEFAULT_TOL) -> Null2TypeRepo
 
     With constant H the gradient part of the type equation is vacuous and the
     remaining scalar equation pins the spectral constant to a = tr A^2.
-    Minimal points (H = 0) and umbilical points (1-type sphere) are rejected.
+    Minimal points (H = 0 within ``_scaled_tol`` of degree 1, H being linear
+    in the eigenvalues) and umbilical points (1-type sphere) are rejected.
     Pointwise data cannot certify a varying mean curvature, so H is always
     assumed constant.
     """
     report = curvature_report(A)
-    if abs(report.H) <= tol:
+    if abs(report.H) <= _scaled_tol(report.principal_curvatures, tol, 1):
         return Null2TypeReport(
             status="rejected-minimal", a=None, H=report.H, trA2=report.trA2
         )

@@ -9,9 +9,10 @@ Canonical text renders terms in descending order, e.g. ``-1/2*w212*E + 44*H^3``.
 
 Products and exact quotients run on integers: each operand's coefficients are
 put over their common denominator once, the inner loops multiply, add and
-divide ``int``s, and one ``Fraction`` is formed per output term.  Results of
-the arithmetic are built by ``_make``, which trusts its input; ``Polynomial``
-itself validates.
+divide ``int``s, and one ``Fraction`` is formed per output term.  Contents,
+primitive parts, residues mod ``MODULUS`` and the resultant's integer rows
+come from the same integer image, ``_cleared``.  Results of the arithmetic
+are built by ``_make``, which trusts its input; ``Polynomial`` validates.
 
 Everything here is immutable after construction and safe to share.
 """
@@ -96,10 +97,15 @@ def _cleared(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[int, dict]:
     return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
 
 
-def _signed_content(p: "Polynomial") -> Fraction:
-    """Content of a nonzero ``p`` with the sign of its leading coefficient."""
-    c = p.content()
-    return -c if p.leading_coefficient() < 0 else c
+def _signed_content(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[int, int, dict]:
+    """(D, g, B) with nonzero ``terms`` = (g / D) * B: D from ``_cleared``, g
+    the gcd of its image with the sign of the leading coefficient, and B the
+    image divided by g, primitive with a positive leading coefficient."""
+    den, ints = _cleared(terms)
+    g = math.gcd(*ints.values())
+    if ints[max(ints, key=_grlex_key)] < 0:
+        g = -g
+    return den, g, {e: c // g for e, c in ints.items()}
 
 
 def fraction_text(q: Fraction | int) -> str:
@@ -122,7 +128,7 @@ def _digits(k: int) -> str:
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolynomialRing, terms: Mapping[tuple[int, ...], Fraction]):
         clean = {}
@@ -136,7 +142,6 @@ class Polynomial:
                 clean[tuple(exp)] = coeff
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *_):  # pragma: no cover - guard
         raise AttributeError("Polynomial is immutable")
@@ -240,11 +245,7 @@ class Polynomial:
         )
 
     def __hash__(self):
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash((self.ring, tuple(sorted(self.terms.items()))))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.ring, tuple(sorted(self.terms.items()))))
 
     # -- structure ----------------------------------------------------------
 
@@ -400,10 +401,7 @@ class Polynomial:
         if divisor.is_constant():
             return self.scale(Fraction(1) / divisor.constant_value())
         d1, remainder = _cleared(self.terms)
-        d2, b = _cleared(divisor.terms)
-        g = math.gcd(*b.values())
-        if g != 1:
-            b = {e: c // g for e, c in b.items()}
+        d2, g, b = _signed_content(divisor.terms)
         div_exp = divisor.leading()[0]
         div_coeff = b[div_exp]
         quotient: dict[tuple[int, ...], int] = {}
@@ -432,20 +430,15 @@ class Polynomial:
 
     def content(self) -> Fraction:
         """Positive rational content (gcd of coefficients); 0 for zero."""
-        if self.is_zero():
-            return Fraction(0)
-        num = 0
-        den = 1
-        for coeff in self.terms.values():
-            num = math.gcd(num, abs(coeff.numerator))
-            den = den * coeff.denominator // math.gcd(den, coeff.denominator)
-        return Fraction(num, den)
+        den, ints = _cleared(self.terms)
+        return Fraction(math.gcd(*ints.values()), den)
 
     def primitive(self) -> "Polynomial":
         """Canonical primitive part: content 1, positive leading coefficient."""
         if self.is_zero():
             return self
-        return self.scale(1 / _signed_content(self))
+        _, _, b = _signed_content(self.terms)
+        return _make(self.ring, {e: Fraction(c) for e, c in b.items()})
 
     # -- rendering ------------------------------------------------------------
 
@@ -485,7 +478,6 @@ def _make(ring: PolynomialRing, terms: dict[tuple[int, ...], Fraction]) -> Polyn
     p = object.__new__(Polynomial)
     object.__setattr__(p, "ring", ring)
     object.__setattr__(p, "terms", terms)
-    object.__setattr__(p, "_hash", None)
     return p
 
 
@@ -660,13 +652,11 @@ def residues(p: Polynomial) -> dict[tuple[int, ...], int] | None:
     """The terms of ``p`` with their coefficients mod MODULUS, or None when
     MODULUS divides a denominator.  Zero residues are kept, so every degree
     read from the result is the degree of ``p``."""
-    out = {}
-    for exp, coeff in p.terms.items():
-        r = residue(coeff)
-        if r is None:
-            return None
-        out[exp] = r
-    return out
+    den, ints = _cleared(p.terms)
+    if not den % MODULUS:
+        return None
+    inv = pow(den, -1, MODULUS)
+    return {e: c * inv % MODULUS for e, c in ints.items()}
 
 
 def dense_mod_p(
@@ -742,8 +732,8 @@ class RationalFunction:
         if not g.is_constant():
             num = num.exact_div(g)
             den = den.exact_div(g)
-        inv = 1 / _signed_content(den)
-        return num.scale(inv), den.scale(inv)
+        prim = den.primitive()
+        return num.scale(prim.leading_coefficient() / den.leading_coefficient()), prim
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

@@ -355,16 +355,16 @@ class _Pipeline:
             self._fail(f"{what} kept a denominator: {value.render()}")
 
     def _add_side_condition(self, expr: Polynomial, origin: str) -> SideCondition:
-        """Record a cleared denominator; return its ledger entry."""
+        """Record a cleared denominator; return its ledger entry.
+
+        Every stage runs once and records each (origin, expression) pair at one
+        call site, so the ledger holds no repeats."""
         prim = expr.primitive()
         if not any(prim == allowed for allowed in self._allowed_conditions):
             self._fail(
                 f"side condition {prim.render()!r} (origin {origin}) is outside "
                 "the fixed vocabulary of clearable denominators"
             )
-        for sc in self.side_conditions:
-            if sc.origin == origin and sc.expr == prim:
-                return sc
         self.side_conditions.append(SideCondition(prim, origin))
         return self.side_conditions[-1]
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import DegreeError, RingMismatchError
-from .poly import Polynomial, subresultant_prs
+from .poly import Polynomial, _cleared as _integer_image, subresultant_prs
 
 
 def _sylvester_rows(fc: list, gc: list, zero) -> list[list]:
@@ -142,12 +142,13 @@ def _newton_to_monomial(values: list[int]) -> list[int]:
 
 def _cleared(polys: list[Polynomial], used: list[int]) -> tuple[int, list[tuple]]:
     """The lcm of the coefficient denominators of ``polys``, and each polynomial
-    times it as ((exponents in the used variables, integer coefficient), ...)."""
-    lcm = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    times it as ((exponents in the used variables, integer coefficient), ...):
+    each one's integer image (``poly._cleared``) scaled up to the lcm."""
+    images = [_integer_image(p.terms) for p in polys]
+    lcm = math.lcm(*(den for den, _ in images))
     return lcm, [
-        tuple((tuple(exp[i] for i in used), c.numerator * (lcm // c.denominator))
-              for exp, c in p.terms.items())
-        for p in polys
+        tuple((tuple(exp[i] for i in used), c * (lcm // den)) for exp, c in ints.items())
+        for den, ints in images
     ]
 
 

@@ -113,6 +113,18 @@ class TestContractExamples:
         assert payload["ideal"] is True
         assert code == 0
 
+    def test_null2_rejects_a_large_rotated_minimal_operator(self, capsys, tmp_path):
+        # H is float rounding at this scale (about 5e-08, above tol = 1e-8), so
+        # the minimal test scales tol by max|lambda| like every linear quantity
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+        matrix = q @ np.diag([1.0, -1.0, 3.0, -3.0]) @ q.T * 1e8
+        path = tmp_path / "minimal.json"
+        path.write_text(json.dumps({"n": 4, "matrix": ((matrix + matrix.T) / 2).tolist()}),
+                        encoding="utf-8")
+        code, out, _ = run(capsys, "null2", "--matrix", str(path))
+        assert json.loads(out)["status"] == "rejected-minimal"
+        assert code == 1
+
     def test_python_dash_m_runs_the_cli(self, capsys):
         code, out, _ = run(capsys, "replay", "--n", "4", "--format", "json")
         env = dict(os.environ, PYTHONPATH=str(pathlib.Path(deltahyp.__file__).parents[1]))
@@ -435,6 +447,25 @@ class TestInputSources:
         assert code == 0
         payload = json.loads(out)
         assert payload["spectrum"]["H"] == pytest.approx(0.5)
+
+
+    def test_catalog_negative_radius_exits_two(self, capsys):
+        code, out, err = run(
+            capsys, "catalog", "--kind", "round-sphere", "--n", "3", "--radius", "-1"
+        )
+        assert code == 2
+        assert err.startswith("error: radius must be positive") and "(at $)" in err
+        assert out == ""
+
+    def test_catalog_cylinder_echoes_p(self, capsys):
+        code, out, _ = run(
+            capsys, "catalog", "--kind", "spherical-cylinder", "--n", "4", "--p", "2",
+            "--radius", "2",
+        )
+        assert code == 0
+        assert json.loads(out)["spec"] == {
+            "kind": "spherical-cylinder", "n": 4, "p": 2, "radius": 2
+        }
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 """Delta invariants, the universal curvature bound, patterns, and the optimizer."""
 
+import importlib
 import itertools
 from fractions import Fraction
 
@@ -22,6 +23,8 @@ from deltahyp import (
     tau_from_spectrum,
 )
 from deltahyp.stiefel import project_tangent, retract_qf, tau_gradient, tau_of_frame
+
+from conftest import time_limit
 
 
 def full_scan(spectrum, r):
@@ -131,6 +134,11 @@ class TestExactLayer:
 
 
 class TestChenBound:
+    @pytest.mark.parametrize("r", [1, 4])
+    def test_r_out_of_range_raises(self, r):
+        with pytest.raises(GeometryError, match="2 <= r <= n-1"):
+            chen_bound(4, r, 1)
+
     def test_exact_values(self):
         assert chen_bound(4, 3, 3) == 36
         assert chen_bound(4, 2, 3) == 48
@@ -199,6 +207,21 @@ class TestDeltaInvariant:
         assert delta_invariant(A, 3).method == "both-agree"
 
 
+    def test_optimizer_below_the_exact_minimum_wins(self, monkeypatch):
+        # diag(1, 2, 3, 6) at r = 3: the exact minimum is 11 and tau is 47, so
+        # an optimizer value of 10 is past any tolerance and is taken, frame
+        # and all
+        frame = np.eye(4)[:, :3]
+        monkeypatch.setattr(importlib.import_module("deltahyp.delta"), "minimize_tau",
+                            lambda matrix, r, restarts, seed: (10.0, frame))
+        result = delta_invariant(ShapeOperator(np.diag([1.0, 2.0, 3.0, 6.0])), 3)
+        assert result.method == "optimizer"
+        assert (result.inf_tau_L, result.combinatorial_inf, result.delta) == (10.0, 11.0, 37.0)
+        witness = result.to_json_dict()["witness"]
+        assert witness == frame.tolist()
+        assert all(type(x) is float for row in witness for x in row)
+
+
 class TestIdeality:
     def test_gap_closes_on_worked_example(self):
         A = ShapeOperator(np.diag([1.0, 2.0, 3.0, 6.0]))
@@ -223,6 +246,16 @@ class TestIdeality:
 
     def test_pattern_none_on_umbilic(self):
         assert detect_ideal_pattern(ShapeOperator(np.eye(4))) is None
+
+    def test_pattern_none_below_dimension_four(self):
+        assert detect_ideal_pattern(ShapeOperator(np.diag([1.0, 2.0, 3.0]))) is None
+
+    def test_pattern_scan_is_constant_work_per_triple(self):
+        # the window check passes (117 equal values), so all C(120, 3) =
+        # 280,840 triples are scanned; none matches
+        A = ShapeOperator.from_spectrum([1.0] * 117 + [2.0, 3.0, 4.0])
+        with time_limit(5):
+            assert detect_ideal_pattern(A) is None
 
     def test_pattern_with_repeats(self):
         A = ShapeOperator(np.diag([1.0, 2.0, 3.0, 6.0, 6.0]))
@@ -267,6 +300,14 @@ class TestNull2Type:
 
     def test_traceless_nonzero_rejected_as_minimal(self):
         report = null2type_check(ShapeOperator(np.diag([1.0, -1.0, 0.0, 0.0])))
+        assert report.status == "rejected-minimal"
+
+    def test_minimal_is_judged_on_the_linear_rule(self):
+        # H of a rotated traceless operator is float rounding, which grows
+        # with the eigenvalues: here |H| is far above tol but below tol * 3e8
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+        matrix = q @ np.diag([1.0, -1.0, 3.0, -3.0]) @ q.T * 1e8
+        report = null2type_check(ShapeOperator((matrix + matrix.T) / 2))
         assert report.status == "rejected-minimal"
 
 

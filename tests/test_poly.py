@@ -1,5 +1,8 @@
 """Unit tests for the exact sparse polynomial and rational-function kernel."""
 
+import ast
+import math
+import pathlib
 import random
 import signal
 import time
@@ -17,8 +20,10 @@ from deltahyp import (
     UnknownVariableError,
     poly_gcd,
 )
+from deltahyp import poly as poly_module
 from deltahyp.errors import DeltahypError, ExactDivisionError
 from deltahyp.poly import fraction_text
+from deltahyp.resultant import _cleared as resultant_rows
 
 from conftest import time_limit
 
@@ -208,6 +213,20 @@ def fraction_exact_div(f, g):
     return quotient
 
 
+def fraction_content(f):
+    num, den = 0, 1
+    for coeff in f.terms.values():
+        num, den = math.gcd(num, coeff.numerator), math.lcm(den, coeff.denominator)
+    return Fraction(num, den)
+
+
+def fraction_primitive(f):
+    content = fraction_content(f)
+    if f.leading_coefficient() < 0:
+        content = -content
+    return {e: c / content for e, c in f.terms.items()}
+
+
 def assert_well_formed(p):
     width = len(p.ring.vars)
     for exp, coeff in p.terms.items():
@@ -306,12 +325,87 @@ class TestIntegerKernel:
             assert f.exact_div(g) == RING.parse(quotient)
 
     @KERNEL_SETTINGS
+    @given(KERNEL_POLYS)
+    def test_content_and_primitive_match_the_fraction_loops(self, f):
+        assert f.content() == fraction_content(f)
+        primitive = f.primitive()
+        assert_well_formed(primitive)
+        assert primitive.terms == (fraction_primitive(f) if f.terms else {})
+
+    @KERNEL_SETTINGS
+    @given(KERNEL_POLYS, NONCONSTANT, CONTENTS)
+    def test_reduced_scales_both_parts_by_the_denominator_content(self, f, g, content):
+        # the denominator's signed content is ``content``; a numerator sharing
+        # a factor with it is skipped, so only the scaling is at stake
+        den = g.primitive().scale(content)
+        for num in (f, den.ring.const(content)):
+            if not poly_gcd(num, den).is_constant():
+                continue
+            reduced_num, reduced_den = RationalFunction(num, den).reduced()
+            assert reduced_den.terms == fraction_primitive(den) == g.primitive().terms
+            assert reduced_num.terms == {e: c / content for e, c in num.terms.items()}
+            assert_well_formed(reduced_num)
+            assert_well_formed(reduced_den)
+
+    @KERNEL_SETTINGS
+    @given(KERNEL_POLYS, st.booleans())
+    def test_residues_match_the_per_coefficient_loop(self, f, past_modulus):
+        if past_modulus:  # a denominator that the modulus divides
+            f = f + Polynomial(RING, {(4, 0, 0): Fraction(1, 3 * poly_module.MODULUS)})
+        expected = {e: poly_module.residue(c) for e, c in f.terms.items()}
+        if None in expected.values():
+            expected = None
+        assert poly_module.residues(f) == expected
+
+    @KERNEL_SETTINGS
+    @given(st.lists(KERNEL_POLYS, min_size=1, max_size=4))
+    def test_resultant_rows_share_one_common_denominator(self, polys):
+        lcm = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+        assert resultant_rows(polys, [0, 2]) == (lcm, [
+            tuple(((e[0], e[2]), c.numerator * (lcm // c.denominator))
+                  for e, c in p.terms.items())
+            for p in polys
+        ])
+
+    @KERNEL_SETTINGS
     @given(KERNEL_POLYS, st.sampled_from(RING.vars))
     def test_structural_results_are_well_formed(self, f, var):
         assert_well_formed(f.diff(var))
         assert_well_formed(f.scale(0))
         for coeff in f.coefficients_in(var):
             assert_well_formed(coeff)
+
+
+# the integer image is the exact layer's only reader of numerators and
+# denominators: besides ``_cleared``, only the sample points (``residue``) and
+# the decimal text past the digit limit (``fraction_text``) read them
+FRACTION_READERS = {("poly.py", "_cleared"), ("poly.py", "residue"),
+                    ("poly.py", "fraction_text")}
+
+
+def fraction_reads(path):
+    """(file name, enclosing function) of each ``.numerator``/``.denominator``
+    attribute in the module at ``path``; the function is None at module level."""
+    reads = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator"):
+            reads.append((path.name, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return reads
+
+
+def test_only_the_integer_image_reads_numerators_and_denominators():
+    package = pathlib.Path(poly_module.__file__).parent
+    reads = [read for name in ("poly.py", "resultant.py", "replay.py")
+             for read in fraction_reads(package / name)]
+    assert set(reads) - FRACTION_READERS == set()
+    assert ("poly.py", "_cleared") in reads
 
 
 class TestCalculus:
