@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from .derivation import ReplayConfig
 from .errors import CheckpointFailure, ConfigError, DeltahypError
-from .jsonio import canonical_dumps, dump_path, load_path
+from .jsonio import DECODE_ERRORS, canonical_dumps, dump_path, load_path
 from .limits import CATALOG_KINDS, DEFAULT_RESTARTS, DEFAULT_SEED, DEFAULT_TOL, MAX_DIMENSION
 from .replay import VERDICT_CONSTANT, replay_all
 
@@ -172,6 +172,15 @@ def _parse_spectrum(text: str) -> list[Fraction]:
         raise ConfigError(
             f"spectrum must have at most {MAX_DIMENSION} values, got {len(parts)}"
         )
+    # A float that rounds to infinity is exactly beyond the float range; it is
+    # refused before its Fraction, whose integer may take seconds to build.
+    for part in parts:
+        try:
+            beyond = math.isinf(float(part))
+        except ValueError:  # "1/3" or malformed: left to the exact parse below
+            continue
+        if beyond:
+            raise ConfigError(f"spectrum {text!r} has a value beyond the float range")
     try:
         values = [Fraction(part) for part in parts]
     except (ValueError, ZeroDivisionError) as exc:
@@ -190,7 +199,7 @@ def _spec_from_flags(args) -> dict:
     if args.hessian is not None:
         try:
             data["hessian"] = json.loads(args.hessian)
-        except ValueError as exc:
+        except DECODE_ERRORS as exc:
             raise ConfigError(f"cannot parse --hessian: {exc}") from None
     return data
 
@@ -218,7 +227,7 @@ def _operator_from_args(args) -> tuple[ShapeOperator, list[Fraction] | None]:
     if getattr(args, "matrix", None):
         try:
             data = load_path(args.matrix)
-        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge int, deep nesting
+        except DECODE_ERRORS as exc:
             raise ConfigError(f"invalid JSON in {args.matrix}: {exc}") from None
         return parse_matrix(data), None
     return _case_operator(load_case(args.case)), None

@@ -13,6 +13,10 @@ from pathlib import Path
 
 from .poly import fraction_text
 
+#: What decoding a JSON document from outside can raise: ValueError for bad
+#: JSON or UTF-8 and for an overlong integer, RecursionError for deep nesting.
+DECODE_ERRORS = (ValueError, RecursionError)
+
 
 def _render_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):

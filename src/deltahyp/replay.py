@@ -245,6 +245,7 @@ class _BranchState:
     """Per-branch intermediates (sign = +1 replayed, -1 first-principles)."""
 
     sign: int
+    unreduced_first: Polynomial = None
     master_first: Polynomial = None
     X: Polynomial = None  # value of (w212 + w313) * E
     Y: Polynomial = None  # value of w414 * E
@@ -252,7 +253,8 @@ class _BranchState:
     Q: Polynomial = None  # value of w212 * w313
     L: Polynomial = None
     M: Polynomial = None
-    curve9: Polynomial = None
+    N: Polynomial = None
+    curve9: Polynomial = None  # restricted to _CURVE_RING by eliminate
     curve12: Polynomial = None
     final_resultant: Polynomial = None
 
@@ -380,8 +382,9 @@ class _Pipeline:
         derived: Polynomial,
         expected: Polynomial,
         note: str = "",
-    ) -> None:
-        """Compare up to a nonzero rational factor via lead-positive primitives."""
+    ) -> str:
+        """Compare up to a nonzero rational factor via lead-positive primitives;
+        return the status recorded."""
         dp = derived.primitive()
         ep = expected.primitive()
         status = EXACT
@@ -398,11 +401,39 @@ class _Pipeline:
             )
             note = f"{note} {mismatch}" if note else mismatch
         self._checkpoint(tag, status, derived.render(), expected.render(), note)
+        return status
 
-    def _structural_checkpoint(self, tag: str, ok: bool, derived: str, why: str) -> None:
-        if not ok:
+    def _support_checkpoint(
+        self, tag: str, poly: Polynomial, template: frozenset, degree: Optional[int], why: str
+    ) -> None:
+        """Halt unless ``poly`` is nonzero, its (H, beta, a)-support lies in
+        ``template`` and, when ``degree`` is given, its joint (H, beta) degree
+        is ``degree``; otherwise record a structural checkpoint.
+
+        With a numeric type constant the a-slot folds into the (H, beta) part;
+        because every template is weight-homogeneous (a counting twice), the
+        folded exponent lifts back uniquely, so membership remains decidable.
+        """
+        support = self._form_part(poly).support(_CURVE_RING.vars)
+        if self.cfg.a_mode == "symbolic":
+            inside = support <= template
+        else:
+            inside = all(
+                any(i == ti and j == tj for (ti, tj, _) in template) for (i, j, _) in support
+            )
+        if not (inside and support and (
+            degree is None or max(i + j for i, j, _ in support) == degree
+        )):
             self._fail(f"checkpoint {tag}: structural requirement failed: {why}")
-        self._checkpoint(tag, STRUCTURAL, derived, None, why)
+        self._checkpoint(tag, STRUCTURAL, poly.render(), None, why)
+
+    def _unit(self, poly: Polynomial, divisor: Polynomial, what: str) -> Fraction:
+        """The nonzero rational u with poly = u * divisor; halt if there is none."""
+        why = f"{what} is not a nonzero constant times {divisor.render()}"
+        quotient = self._exact_div(poly, divisor, why)
+        if quotient.total_degree() != 0:  # -1 for a zero quotient
+            self._fail(f"{why}: quotient {quotient.render()}")
+        return quotient.leading_coefficient()
 
     def _form_part(self, poly: Polynomial) -> Polynomial:
         """Assert the remainder uses only H, beta, a and return it."""
@@ -569,15 +600,7 @@ class _Pipeline:
         )
         q_pair.append(self._add_side_condition(self.q, "3.22"))
         pattern = H * (2 * beta - c2 * H) ** 2
-        unit_poly = self._exact_div(
-            elim, pattern, "pair-branch eliminant does not match the reference pattern"
-        )
-        if unit_poly.total_degree() != 0 or unit_poly.is_zero():
-            self._fail(
-                "pair-branch eliminant / pattern is not a nonzero constant: "
-                f"{unit_poly.render()}"
-            )
-        unit_pair = unit_poly.leading_coefficient()
+        unit_pair = self._unit(elim, pattern, "pair-branch eliminant")
         self._add_side_condition(self.c2 * self.H - 2 * self.beta, "3.18")
         pair_cert = EliminantCertificate(
             label="pair-directions",
@@ -625,15 +648,7 @@ class _Pipeline:
                 "the differentiated slot"
             )
         coeff = coeffs[1]
-        unit_tail_poly = self._exact_div(
-            coeff, self.H, "tail-branch coefficient not a multiple of H"
-        )
-        if unit_tail_poly.total_degree() != 0 or unit_tail_poly.is_zero():
-            self._fail(
-                "tail-branch coefficient / H is not a nonzero constant: "
-                f"{unit_tail_poly.render()}"
-            )
-        unit_tail = unit_tail_poly.leading_coefficient()
+        unit_tail = self._unit(coeff, self.H, "tail-branch coefficient")
         tail_conditions = [
             self._add_side_condition(A_den, "3.22"),
             self._add_side_condition(B_den, "3.23"),
@@ -667,20 +682,19 @@ class _Pipeline:
         R = R - v * rel49
         R = R + 2 * ((u + v) * rel49)
         hw_value = (-(c1 + c2) / c2) * E
-        unreduced_first = {}
-        for label, state in self.branches.items():
+        for state in self.branches.values():
             # replace the quotient product by this branch's resolved form, then
             # clear the lone quotient against the mean-curvature flow relation
             uv_value = Fraction(state.sign) * ((n - 3) * (w * (u + v)) + K)
-            unreduced_first[label] = (
+            state.unreduced_first = (
                 R.rewrite_product("w212", "w313", uv_value)
                 .rewrite_product("H", "w414", hw_value)
                 .scale(-c2)
             )
-            coeff_ee = unreduced_first[label].coefficient({"EE": 1})
+            coeff_ee = state.unreduced_first.coefficient({"EE": 1})
             if coeff_ee == 0:
                 self._fail("first master equation lost its second-order term")
-            state.master_first = unreduced_first[label].scale(1 / coeff_ee)
+            state.master_first = state.unreduced_first.scale(1 / coeff_ee)
 
         # second master equation: flow derivative of the mean-curvature relation
         rel48 = Ds.of_poly_strict(rel50) - w * rel50
@@ -700,12 +714,12 @@ class _Pipeline:
 
         replayed = self.branches[BRANCH_REPLAYED]
         self._checkpoint_compare(
-            "3.51", unreduced_first[BRANCH_REPLAYED], ref.master_A_unreduced(self.alg)
+            "3.51", replayed.unreduced_first, ref.master_A_unreduced(self.alg)
         )
         self._checkpoint_compare(
             "3.52", master_second_unreduced, ref.master_B_unreduced(self.alg)
         )
-        self._checkpoint_compare(
+        status_54 = self._checkpoint_compare(
             "3.54",
             replayed.master_first,
             ref.master_A(self.alg),
@@ -717,22 +731,20 @@ class _Pipeline:
         )
         self._checkpoint_compare("3.55", master_second, ref.master_B(self.alg))
         self._checkpoint_compare("3.56", master_third, ref.master_C(self.alg, self.a_poly))
-        cps = self._stage_checkpoints()
-        mismatch_54 = any(c.id == "3.54" and c.status == FLAGGED for c in cps)
         fp_first = self.branches[BRANCH_FIRST_PRINCIPLES].master_first
         self.notes.append(
             "first master equation replay "
-            + ("DIVERGES from" if mismatch_54 else "matches")
+            + ("DIVERGES from" if status_54 == FLAGGED else "matches")
             + " the reference table; first-principles sign branch stored alongside: "
             + fp_first.render()
         )
         return MasterEquations(
-            unreduced_first=unreduced_first[BRANCH_REPLAYED],
+            unreduced_first=replayed.unreduced_first,
             unreduced_second=master_second_unreduced,
             first=replayed.master_first,
             second=master_second,
             third=master_third,
-            checkpoints=cps,
+            checkpoints=self._stage_checkpoints(),
         )
 
     # -- stage: first integrals ----------------------------------------------------
@@ -768,17 +780,18 @@ class _Pipeline:
         pair_sum = (u + v) * E - rep.X
         product = u * v - rep.Q
         square = E * E - rep.S
-        for tag, derived, table in (
-            ("3.57", lone, ref.integral_lone_quotient),
-            ("3.58", pair_sum, ref.integral_sum_quotient),
-            ("3.59", product, ref.integral_product),
-            ("3.60", square, ref.integral_square),
-        ):
+        statuses = [
             self._checkpoint_compare(
                 tag, derived, table(self.alg, self.a_poly), note=_CARRIED_FORWARD
             )
-        cps = self._stage_checkpoints()
-        if any(c.status == FLAGGED for c in cps):
+            for tag, derived, table in (
+                ("3.57", lone, ref.integral_lone_quotient),
+                ("3.58", pair_sum, ref.integral_sum_quotient),
+                ("3.59", product, ref.integral_product),
+                ("3.60", square, ref.integral_square),
+            )
+        ]
+        if FLAGGED in statuses:
             kap_ref = ref.kappa_reference(n)
             kap_fix = ref.kappa_corrected(n)
             self.notes.append(
@@ -795,7 +808,7 @@ class _Pipeline:
             lone_quotient=lone,
             product=product,
             square=square,
-            checkpoints=cps,
+            checkpoints=self._stage_checkpoints(),
         )
 
     def _split_linear(self, poly: Polynomial):
@@ -815,8 +828,7 @@ class _Pipeline:
         H = self.H
         p, q = self.p, self.q
 
-        N = {}
-        for label, state in self.branches.items():
+        for state in self.branches.values():
             # flow derivative of (E^2 - S) along the tangency locus
             G = state.Y.scale(Fraction(-(n + 2))) + (
                 Fraction(-(n**3), 2 * (n - 2)) * H**3
@@ -825,20 +837,19 @@ class _Pipeline:
             dS_b = state.S.diff("beta")
             phi2 = G - dS_H
             phi1 = phi2 - dS_b.scale(c2)
-            L = p * phi1
-            M = q * phi2
-            N[label] = state.X.scale(c2)
+            state.L = L = p * phi1
+            state.M = M = q * phi2
+            state.N = state.X.scale(c2)
             # internal identity: the antisymmetric combination collapses
             if (p * M - q * L) != ((p * q) * dS_b).scale(c2):
                 self._fail(
                     "antisymmetric combination of the linear forms failed its "
                     "closed form"
                 )
-            curve_raw = state.Q * ((M - L) * (p * M - q * L)) + N[label] * (L * M)
+            curve_raw = state.Q * ((M - L) * (p * M - q * L)) + state.N * (L * M)
             bracket = self._exact_div(
                 curve_raw, p * q, "tangency curve did not factor through the cleared pair"
             )
-            state.L, state.M = L, M
             state.curve9 = self._form_part(bracket).primitive()
         self._add_side_condition(self.E, "3.61")
         self._add_side_condition(p, "3.63")
@@ -848,45 +859,17 @@ class _Pipeline:
         for tag, poly_, template, what in (
             ("3.61-L", rep.L, ref.TEMPLATE_LINEAR_FORM, "first linear coefficient"),
             ("3.61-M", rep.M, ref.TEMPLATE_LINEAR_FORM, "second linear coefficient"),
-            ("3.62-N", N[BRANCH_REPLAYED], ref.TEMPLATE_CUBIC_FORM,
-             "product-side cubic form"),
+            ("3.62-N", rep.N, ref.TEMPLATE_CUBIC_FORM, "product-side cubic form"),
         ):
-            ok = self._support_ok(poly_, template) and not poly_.is_zero()
-            self._structural_checkpoint(
-                tag,
-                ok,
-                poly_.render(),
-                f"{what}: support within the reference template",
+            self._support_checkpoint(
+                tag, poly_, template, None, f"{what}: support within the reference template"
             )
-        deg9 = self._hb_degree(rep.curve9)
-        ok9 = deg9 == 9 and self._support_ok(rep.curve9, ref.template_curve9())
-        self._structural_checkpoint(
-            "3.63",
-            ok9,
-            rep.curve9.render(),
+        self._support_checkpoint(
+            "3.63", rep.curve9, ref.template_curve9(), 9,
             "tangency curve has exact joint degree 9 with support inside the "
             "odd-strata template",
         )
-        return (rep.L, rep.M, N[BRANCH_REPLAYED], rep.curve9)
-
-    def _support_ok(self, poly: Polynomial, template: frozenset) -> bool:
-        """Check the (H, beta, a)-support against a reference template.
-
-        With a numeric type constant the a-slot folds into the (H, beta) part;
-        because every template is weight-homogeneous (a counting twice), the
-        folded exponent lifts back uniquely, so membership remains decidable.
-        """
-        support = self._form_part(poly).support(_CURVE_RING.vars)
-        if self.cfg.a_mode == "symbolic":
-            return support <= set(template)
-        return all(
-            any(i == ti and j == tj for (ti, tj, _) in template) for (i, j, _) in support
-        )
-
-    @staticmethod
-    def _hb_degree(poly: Polynomial) -> int:
-        """Joint degree in (H, beta); -1 for the zero polynomial."""
-        return max((i + j for i, j in poly.support(("H", "beta"))), default=-1)
+        return (rep.L, rep.M, rep.N, rep.curve9)
 
     # -- stage: prolonged curve ---------------------------------------------------------
 
@@ -902,12 +885,8 @@ class _Pipeline:
         self._add_side_condition(self.c2 * self.H, "3.65")
 
         rep = self.branches[BRANCH_REPLAYED]
-        deg12 = self._hb_degree(rep.curve12)
-        ok12 = deg12 == 12 and self._support_ok(rep.curve12, ref.template_curve12())
-        self._structural_checkpoint(
-            "3.65",
-            ok12,
-            rep.curve12.render(),
+        self._support_checkpoint(
+            "3.65", rep.curve12, ref.template_curve12(), 12,
             "prolonged curve has exact joint degree 12 with support inside the "
             "even-strata template",
         )
@@ -916,46 +895,38 @@ class _Pipeline:
     # -- stage: final elimination ----------------------------------------------------
 
     def eliminate(self) -> EliminationReport:
-        curves = {}
-        for label, state in self.branches.items():
-            c9, c12 = (c.restrict_ring(_CURVE_RING) for c in (state.curve9, state.curve12))
-            curves[label] = c9, c12
-            if c9.degree("beta") < 1 or c12.degree("beta") < 1:
+        for state in self.branches.values():
+            state.curve9, state.curve12 = (
+                c.restrict_ring(_CURVE_RING) for c in (state.curve9, state.curve12)
+            )
+            if state.curve9.degree("beta") < 1 or state.curve12.degree("beta") < 1:
                 self._fail("both curves must be nonconstant in beta before elimination")
-            state.final_resultant = self._final_resultant(c9, c12)
+            state.final_resultant = self._final_resultant(state.curve9, state.curve12)
 
         rep = self.branches[BRANCH_REPLAYED]
         res = rep.final_resultant
         parity = {h % 2 for (h,) in res.support(("H",))}
         if len(parity) > 1:
             self._fail("final resultant mixes H-parities")
-        self._consistency_spotcheck(*curves[BRANCH_REPLAYED], res)
+        self._consistency_spotcheck(rep.curve9, rep.curve12, res)
 
-        verdict = VERDICT_INCONCLUSIVE if res.is_zero() else VERDICT_CONSTANT
-        branches_out = {}
-        for label, state in self.branches.items():
-            if label == BRANCH_REPLAYED:
-                continue
-            nz = not state.final_resultant.is_zero()
-            branches_out[label] = BranchSummary(
-                label, *curves[label], nz, VERDICT_CONSTANT if nz else VERDICT_INCONCLUSIVE
-            )
-        same_outcome = all(
-            b.resultant_nonzero == (not res.is_zero()) for b in branches_out.values()
+        nonzero = not res.is_zero()
+        fp = self.branches[BRANCH_FIRST_PRINCIPLES]
+        fp_nonzero = not fp.final_resultant.is_zero()
+        self.notes.append(
+            f"final resultant is {'nonzero' if nonzero else 'identically zero'} "
+            f"(degree {res.degree('H')} in H); "
+            + ("the same outcome holds in every other sign branch" if fp_nonzero == nonzero
+               else "branch outcomes differ, see branches")
         )
-        note = (
-            "final resultant is "
-            + ("nonzero" if not res.is_zero() else "identically zero")
-            + f" (degree {res.degree('H')} in H)"
+        summary = BranchSummary(
+            BRANCH_FIRST_PRINCIPLES, fp.curve9, fp.curve12, fp_nonzero,
+            VERDICT_CONSTANT if fp_nonzero else VERDICT_INCONCLUSIVE,
         )
-        if branches_out:
-            note += (
-                "; the same outcome holds in every other sign branch"
-                if same_outcome
-                else "; branch outcomes differ, see branches"
-            )
-        self.notes.append(note)
-        return self._report(verdict, branches_out)
+        return self._report(
+            VERDICT_CONSTANT if nonzero else VERDICT_INCONCLUSIVE,
+            {BRANCH_FIRST_PRINCIPLES: summary},
+        )
 
     def _final_resultant(self, c9: Polynomial, c12: Polynomial) -> Polynomial:
         """Resultant of the two curves in beta, taken at H = 1 with H restored.
@@ -1148,14 +1119,10 @@ def derive_prolonged_curve(cfg: ReplayConfig) -> Polynomial:
     return _Pipeline(cfg).run("prolonged")
 
 
-def eliminate_beta(cfg: ReplayConfig) -> EliminationReport:
-    """Run the final resultant elimination and assemble the report.
-
-    The elimination depends on every other stage, so this is the full replay.
-    """
-    return replay_all(cfg)
-
-
 def replay_all(cfg: ReplayConfig) -> EliminationReport:
     """Run every stage in table order and return the aggregated report."""
     return _Pipeline(cfg).run("eliminate")
+
+
+# The final elimination depends on every other stage, so it is the full replay.
+eliminate_beta = replay_all

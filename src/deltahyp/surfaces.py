@@ -10,7 +10,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import GeometryError, GridError, SchemaError
-from .jsonio import load_path
+from .jsonio import DECODE_ERRORS, load_path
 from .limits import CATALOG_KINDS, MAX_DIMENSION, SPEC_FIELDS
 from .shape import SYMMETRY_RTOL, ShapeOperator
 
@@ -161,42 +161,47 @@ def shape_operator_from_grid(grid: ImmersionGrid) -> ShapeOperator:
         return tuple(out)
 
     center = grid.at(offset())
-    tangents = np.zeros((n + 1, n))
-    for i in range(n):
-        plus = grid.at(offset({i: +1}))
-        minus = grid.at(offset({i: -1}))
-        tangents[:, i] = (plus - minus) / (2.0 * h[i])
+    # differences of large samples over small spacings may overflow: a
+    # non-finite metric is rejected here, a non-finite operator by ShapeOperator
+    with np.errstate(all="ignore"):
+        tangents = np.zeros((n + 1, n))
+        for i in range(n):
+            plus = grid.at(offset({i: +1}))
+            minus = grid.at(offset({i: -1}))
+            tangents[:, i] = (plus - minus) / (2.0 * h[i])
 
-    metric = tangents.T @ tangents
-    cond = float(np.linalg.cond(metric))
-    if not np.isfinite(cond) or cond > METRIC_COND_LIMIT:
-        raise GridError(
-            f"first fundamental form is degenerate (condition number {cond:.3e})"
-        )
+        metric = tangents.T @ tangents
+        if not np.isfinite(metric).all():  # also when a tangent is not finite
+            raise GridError("first fundamental form is not finite: the differences overflow")
+        cond = float(np.linalg.cond(metric))
+        if not np.isfinite(cond) or cond > METRIC_COND_LIMIT:
+            raise GridError(
+                f"first fundamental form is degenerate (condition number {cond:.3e})"
+            )
 
-    # unit normal: the column of the full orthonormal basis not spanned by
-    # the tangents
-    q_full, _ = np.linalg.qr(tangents, mode="complete")
-    normal = q_full[:, n]
+        # unit normal: the column of the full orthonormal basis not spanned by
+        # the tangents
+        q_full, _ = np.linalg.qr(tangents, mode="complete")
+        normal = q_full[:, n]
 
-    second = np.zeros((n, n))
-    for i in range(n):
-        plus = grid.at(offset({i: +1}))
-        minus = grid.at(offset({i: -1}))
-        dd = (plus - 2.0 * center + minus) / (h[i] * h[i])
-        second[i, i] = float(dd @ normal)
-        for j in range(i + 1, n):
-            pp = grid.at(offset({i: +1, j: +1}))
-            pm = grid.at(offset({i: +1, j: -1}))
-            mp = grid.at(offset({i: -1, j: +1}))
-            mm = grid.at(offset({i: -1, j: -1}))
-            dd = (pp - pm - mp + mm) / (4.0 * h[i] * h[j])
-            second[i, j] = second[j, i] = float(dd @ normal)
+        second = np.zeros((n, n))
+        for i in range(n):
+            plus = grid.at(offset({i: +1}))
+            minus = grid.at(offset({i: -1}))
+            dd = (plus - 2.0 * center + minus) / (h[i] * h[i])
+            second[i, i] = float(dd @ normal)
+            for j in range(i + 1, n):
+                pp = grid.at(offset({i: +1, j: +1}))
+                pm = grid.at(offset({i: +1, j: -1}))
+                mp = grid.at(offset({i: -1, j: +1}))
+                mm = grid.at(offset({i: -1, j: -1}))
+                dd = (pp - pm - mp + mm) / (4.0 * h[i] * h[j])
+                second[i, j] = second[j, i] = float(dd @ normal)
 
-    eigenvalues, vectors = np.linalg.eigh(metric)
-    inv_sqrt = vectors @ np.diag(1.0 / np.sqrt(eigenvalues)) @ vectors.T
-    operator = inv_sqrt @ second @ inv_sqrt
-    operator = 0.5 * (operator + operator.T)
+        eigenvalues, vectors = np.linalg.eigh(metric)
+        inv_sqrt = vectors @ np.diag(1.0 / np.sqrt(eigenvalues)) @ vectors.T
+        operator = inv_sqrt @ second @ inv_sqrt
+        operator = 0.5 * (operator + operator.T)
     if float(np.trace(operator)) < 0.0:
         operator = -operator
     return ShapeOperator(operator)
@@ -368,6 +373,6 @@ def load_case(path) -> Union[SurfaceSpec, ImmersionGrid]:
     """Load either a catalog surface spec or an immersion grid from JSON."""
     try:
         data = load_path(path)
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge int, deep nesting
+    except DECODE_ERRORS as exc:
         raise SchemaError(f"invalid JSON in {path}: {exc}", positions=["$"]) from exc
     return parse_case(data)

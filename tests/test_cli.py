@@ -271,6 +271,12 @@ class TestExitCodes:
         assert "cannot write the partial report" in err
 
 
+def _grid_doc(h, point):
+    """A 5 x 5 grid around (2, 2) with spacing h; ``point(i, j)`` at offset (i, j)."""
+    points = [x for i in range(-2, 3) for j in range(-2, 3) for x in point(i, j)]
+    return {"n": 2, "h": [h, h], "base": [2, 2], "shape": [5, 5], "points": points}
+
+
 # argv with "{doc}" standing for a file that holds the document (JSON-encoded
 # unless given as raw text or bytes), and a fragment the error line must hold
 MALFORMED_INPUT = {
@@ -293,6 +299,11 @@ MALFORMED_INPUT = {
         "invalid JSON",
     ),
     "deeply-nested-case": (["catalog", "--case", "{doc}"], "[" * 200_000, "invalid JSON"),
+    "deeply-nested-hessian": (
+        ["catalog", "--kind", "graph", "--hessian", "[" * 200_000],
+        None,
+        "cannot parse --hessian",
+    ),
     "string-hessian-entry": (
         ["catalog", "--kind", "graph", "--hessian", '[[1,"x"],[2,3]]'],
         None,
@@ -330,6 +341,23 @@ MALFORMED_INPUT = {
         ["catalog", "--case", "{doc}"],
         {"n": 2, "h": [0.1, 0.1], "base": [2, 2], "shape": [-1, -5], "points": [0.0] * 15},
         "shape entries must be positive",
+    ),
+    # finite samples whose differences overflow: the tangents (1e300 apart
+    # over 2e-10), the metric (tangents of 1e200), the second differences
+    "overflowing-grid-tangents": (
+        ["catalog", "--case", "{doc}"],
+        _grid_doc(1e-10, lambda i, j: [1e300 * i, 1e300 * j, 0.0]),
+        "first fundamental form is not finite",
+    ),
+    "overflowing-grid-metric": (
+        ["catalog", "--case", "{doc}"],
+        _grid_doc(1e-200, lambda i, j: [float(i), float(j), 0.0]),
+        "first fundamental form is not finite",
+    ),
+    "overflowing-grid-curvature": (
+        ["catalog", "--case", "{doc}"],
+        _grid_doc(1e-160, lambda i, j: [1e-6 * i, 1e-6 * j, 1e-6 * (i * i + j * j)]),
+        "shape operator entries must be finite",
     ),
     "infinite-radius": (
         ["catalog", "--case", "{doc}"],
@@ -418,6 +446,17 @@ def test_malformed_input_exits_two(capsys, tmp_path, name):
     assert err.startswith("error:")
     assert fragment in err
     assert "Traceback" not in err
+    assert out == ""
+
+
+def test_spectrum_beyond_the_float_range_is_refused_before_it_is_built(capsys):
+    # the exact value of 1e10000000 is a 33-million-bit integer
+    with time_limit(2):
+        code, out, err = run(
+            capsys, "delta", "--r", "2", "--no-optimizer", "--spectrum", "1e10000000,1,2"
+        )
+    assert code == 2
+    assert err.startswith("error:") and "beyond the float range" in err
     assert out == ""
 
 

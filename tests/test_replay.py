@@ -434,6 +434,25 @@ class TestFailureModes:
         assert str(err.value) == "relation kept a denominator: (beta) / (H)"
         assert err.value.report.verdict == VERDICT_INCONCLUSIVE
 
+    def test_side_condition_outside_the_vocabulary_exits_three(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        # without E in the vocabulary, clearing E at 3.61 must halt the replay
+        vocabulary = reference_forms.allowed_side_conditions
+
+        def without_e(alg):
+            return [p for p in vocabulary(alg) if p != alg.ring.var("E")]
+
+        monkeypatch.setattr(reference_forms, "allowed_side_conditions", without_e)
+        out = tmp_path / "partial.json"
+        code = main(["replay", "--n", "4", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "outside the fixed vocabulary" in err
+        partial = json.loads(out.read_text(encoding="utf-8"))
+        assert partial["verdict"] == "inconclusive"
+        assert partial["checkpoints"][-1]["id"] == "3.60"
+
     def test_curve_constant_in_beta_halts_with_partial_report(self, monkeypatch):
         # a prolonged curve that has lost beta cannot be eliminated: the replay
         # halts like any other structural failure and keeps its partial report
@@ -601,6 +620,23 @@ class TestSpotcheck:
             "specialization cross-check failed at" if tampered
             else "specialization cross-check: 20 sample points consistent"
         )
+
+    def test_inadmissible_point_is_skipped(self, monkeypatch):
+        # the first point drawn at n = 4 is H = 20, where c9 loses its beta-degree
+        c9, c12 = (_H - 20) * _BETA + 1, _BETA**2 - _H
+        settled = []
+        inner = replay_module._settled_mod_p
+
+        def counting_settled(images, H0, a0):
+            settled.append(H0)
+            return inner(images, H0, a0)
+
+        monkeypatch.setattr(replay_module, "_settled_mod_p", counting_settled)
+        calls = self.count_exact_gcds(monkeypatch)
+        note = self.spotcheck(c9, c12, resultant(c9, c12, "beta"))
+        assert note.startswith("specialization cross-check: 20 sample points consistent")
+        assert settled[0] == 20 and len(settled) == 21
+        assert calls == []
 
     def test_zero_resultant_fails(self, report4):
         with pytest.raises(CheckpointFailure, match="resultant-zero status True"):
