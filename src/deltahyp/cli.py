@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -172,17 +173,24 @@ def _parse_spectrum(text: str) -> list[Fraction]:
         raise ConfigError(
             f"spectrum must have at most {MAX_DIMENSION} values, got {len(parts)}"
         )
-    # A float that rounds to infinity is exactly beyond the float range; it is
-    # refused before its Fraction, whose integer may take seconds to build.
+    # A decimal part is range-checked on its float, then read exactly through
+    # Decimal in time linear in the text (Fraction(part) builds 10**|exponent|
+    # first).  One that rounds to 0.0 is 0 if its mantissa is zero, whatever
+    # its exponent, and below the float range otherwise.
+    decimals = {}
     for part in parts:
         try:
-            beyond = math.isinf(float(part))
+            approx = float(part)
         except ValueError:  # "1/3" or malformed: left to the exact parse below
             continue
-        if beyond:
+        if math.isinf(approx):
             raise ConfigError(f"spectrum {text!r} has a value beyond the float range")
+        if approx == 0 and Decimal(part.lower().partition("e")[0]):
+            raise ConfigError(f"spectrum {text!r} has a value below the float range")
+        if not math.isnan(approx):  # NaN is left to the exact parse, which refuses it
+            decimals[part] = Fraction(Decimal(part)) if approx else Fraction(0)
     try:
-        values = [Fraction(part) for part in parts]
+        values = [decimals[part] if part in decimals else Fraction(part) for part in parts]
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot parse spectrum {text!r}: {exc}") from None
     if len(values) < 2:

@@ -92,24 +92,27 @@ FRAME_VARS = ("H", "beta", "a", "E", "EE", "w212", "w313", "w414", "h", "ekb")
 
 @dataclass(frozen=True)
 class DerivationAlgebra:
-    """Frame calculus at fixed dimension n: ring, constants, and flow rules."""
+    """Frame calculus at fixed dimension n: ring, constants, and flow rules.
+
+    ``spectrum`` is the accepted eigenvalue pattern (lam1, lam2, lam3, lam_tail)
+    = (c1*H, beta, c2*H - beta, (c1 + c2)*H), with lam_tail repeated n - 3 times.
+    """
 
     n: int
     ring: PolynomialRing
     c1: Fraction
     c2: Fraction
+    spectrum: tuple[Polynomial, Polynomial, Polynomial, Polynomial]
     scratch_derivation: Derivation = field(repr=False)
 
 
 def build_algebra(cfg: ReplayConfig) -> DerivationAlgebra:
     """Construct the frame calculus for dimension cfg.n.
 
-    Flow rules:
+    Flow rules, with (lam1, lam2, lam3, lam_tail) the accepted spectrum:
       D(H)    = E
-      D(beta) = (c1*H - beta) * w212
-      D(w212) = -w212^2 - c1*H*beta
-      D(w313) = -w313^2 - c1*H*(c2*H - beta)
-      D(w414) = -w414^2 - c1*(c1+c2)*H^2
+      D(beta) = (lam1 - lam2) * w212
+      D(w_i)  = -w_i^2 - lam1 * lam_i   for (w212, w313, w414) and i = 2, 3, tail
       D(a)    = 0
       D(E)    = EE
 
@@ -119,26 +122,26 @@ def build_algebra(cfg: ReplayConfig) -> DerivationAlgebra:
     """
     n = cfg.n
     ring = PolynomialRing(FRAME_VARS)
-    H, beta, a, E, EE = (ring.var(v) for v in ("H", "beta", "a", "E", "EE"))
-    u, v, w = (ring.var(v) for v in ("w212", "w313", "w414"))
+    H, beta, E, EE = (ring.var(v) for v in ("H", "beta", "E", "EE"))
     c1 = Fraction(-n, 2)
     c2 = Fraction(n * n, 2 * (n - 2))
-    lam3 = c2 * H - beta
+    spectrum = (c1 * H, beta, c2 * H - beta, (c1 + c2) * H)
+    lam1, lam2 = spectrum[:2]
 
     rules: dict[str, Polynomial] = {
         "H": E,
-        "beta": (c1 * H - beta) * u,
-        "w212": -u * u - c1 * (H * beta),
-        "w313": -v * v - c1 * (H * lam3),
-        "w414": -w * w - c1 * (c1 + c2) * (H * H),
+        "beta": (lam1 - lam2) * ring.var("w212"),
         "a": ring.zero(),
         "E": EE,
     }
+    for name, lam in zip(("w212", "w313", "w414"), spectrum[1:]):
+        rules[name] = -ring.var(name) ** 2 - lam1 * lam
 
     return DerivationAlgebra(
         n=n,
         ring=ring,
         c1=c1,
         c2=c2,
+        spectrum=spectrum,
         scratch_derivation=Derivation(ring, rules),
     )

@@ -240,37 +240,33 @@ TEMPLATE_LINEAR_FORM = frozenset(
 TEMPLATE_CUBIC_FORM = frozenset({(3, 0, 0), (2, 1, 0), (1, 2, 0), (1, 0, 1)})
 
 
+def _weighted_template(weight: int, a_powers: int) -> frozenset[tuple[int, int, int]]:
+    """Every (i, j, k) with i + j + 2k = weight and k < a_powers."""
+    return frozenset(
+        (i, weight - 2 * k - i, k) for k in range(a_powers) for i in range(weight - 2 * k + 1)
+    )
+
+
 def template_curve9() -> frozenset[tuple[int, int, int]]:
     """Maximal support of the degree-9 curve: odd strata 9/7/5/3 against a^0..a^3."""
-    out = set()
-    for k in range(4):
-        d = 9 - 2 * k
-        for i in range(d + 1):
-            out.add((i, d - i, k))
-    return frozenset(out)
+    return _weighted_template(9, 4)
 
 
 def template_curve12() -> frozenset[tuple[int, int, int]]:
     """Maximal support of the degree-12 curve: even strata 12/10/8/6/4 with a^0..a^4."""
-    out = set()
-    for k in range(5):
-        d = 12 - 2 * k
-        for i in range(d + 1):
-            out.add((i, d - i, k))
-    return frozenset(out)
+    return _weighted_template(12, 5)
 
 
 def allowed_side_conditions(alg: DerivationAlgebra) -> list[Polynomial]:
-    """Fixed vocabulary of denominators that may legally be cleared."""
-    r = alg.ring
-    c1, c2 = alg.c1, alg.c2
-    H, beta, E = r.var("H"), r.var("beta"), r.var("E")
+    """Fixed vocabulary of denominators that may legally be cleared: sums and
+    differences of accepted eigenvalues, and the flow derivative E of H."""
+    lam1, lam2, lam3, lam_tail = alg.spectrum
     return [
-        c1 * H - beta,
-        c2 * H - 2 * beta,
-        (c1 - c2) * H + beta,
-        (c1 + c2) * H - beta,
-        c1 * H + beta,
-        c2 * H,
-        E,
+        lam1 - lam2,
+        lam3 - lam2,
+        lam1 - lam3,
+        lam_tail - lam2,
+        lam1 + lam2,
+        lam2 + lam3,
+        alg.ring.var("E"),
     ]

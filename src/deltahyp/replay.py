@@ -291,12 +291,10 @@ class _Pipeline:
         self.v = r.var("w313")
         self.w = r.var("w414")
         self.h = r.var("h")
-        self.p = self.c1 * self.H - self.beta
-        self.q = (self.c1 - self.c2) * self.H + self.beta
-        n, c1, c2 = self.n, self.c1, self.c2
-        self.K = (n - 3) * (c1 + c2) * c2 * self.H**2 + self.beta * (
-            c2 * self.H - self.beta
-        )
+        lam1, lam2, lam3, lam_tail = self.alg.spectrum
+        self.p = lam1 - lam2
+        self.q = lam1 - lam3
+        self.K = (self.n - 3) * lam_tail * (lam2 + lam3) + lam2 * lam3
         if cfg.a_mode == "numeric":
             self.a_poly = r.const(cfg.a_value)
         else:
@@ -410,18 +408,15 @@ class _Pipeline:
         ``template`` and, when ``degree`` is given, its joint (H, beta) degree
         is ``degree``; otherwise record a structural checkpoint.
 
-        With a numeric type constant the a-slot folds into the (H, beta) part;
-        because every template is weight-homogeneous (a counting twice), the
-        folded exponent lifts back uniquely, so membership remains decidable.
+        With a numeric type constant the a-slot folds into the (H, beta) part,
+        and so does the template; because every template is weight-homogeneous
+        (a counting twice), the folded exponent lifts back uniquely, so
+        membership remains decidable.
         """
         support = self._form_part(poly).support(_CURVE_RING.vars)
-        if self.cfg.a_mode == "symbolic":
-            inside = support <= template
-        else:
-            inside = all(
-                any(i == ti and j == tj for (ti, tj, _) in template) for (i, j, _) in support
-            )
-        if not (inside and support and (
+        if self.cfg.a_mode == "numeric":
+            template = {(i, j, 0) for i, j, _ in template}
+        if not (support and support <= template and (
             degree is None or max(i + j for i, j, _ in support) == degree
         )):
             self._fail(f"checkpoint {tag}: structural requirement failed: {why}")
@@ -474,23 +469,12 @@ class _Pipeline:
         cert = ContradictionCertificate(n, n != 4, *traces, conclusion)
         # Accepted branch: the spectrum used by the rest of the pipeline,
         # with its two exact consistency identities.
-        c1, c2 = self.c1, self.c2
-        lam1 = c1 * self.H
-        lam2 = self.beta
-        lam3 = c2 * self.H - self.beta
-        lam_tail = (c1 + c2) * self.H
-        total = lam1 + lam2 + lam3 + (n - 3) * lam_tail
-        ident_trace = total - n * self.H
-        ident_sum3 = (lam1 + lam2 + lam3) - (c1 + c2) * self.H
-        cert.accepted_spectrum = {
-            "lambda_1": lam1.render(),
-            "lambda_2": lam2.render(),
-            "lambda_3": lam3.render(),
-            "lambda_tail": lam_tail.render(),
-        }
+        *first_three, lam_tail = self.alg.spectrum
+        names = ("lambda_1", "lambda_2", "lambda_3", "lambda_tail")
+        cert.accepted_spectrum = {k: lam.render() for k, lam in zip(names, self.alg.spectrum)}
         cert.identities = {
-            "trace_equals_nH": ident_trace.is_zero(),
-            "first_three_sum": ident_sum3.is_zero(),
+            "trace_equals_nH": (sum(first_three) + (n - 3) * lam_tail - n * self.H).is_zero(),
+            "first_three_sum": (sum(first_three) - lam_tail).is_zero(),
         }
         if not all(cert.identities.values()):
             self._fail("accepted spectrum failed its trace identities")
@@ -500,12 +484,12 @@ class _Pipeline:
     # -- stage: connection-quotient identities ----------------------------------
 
     def omega(self) -> OmegaIdentityProof:
-        n, c1, c2 = self.n, self.c1, self.c2
-        H, beta, h = self.H, self.beta, self.h
+        n, h = self.n, self.h
         u, v, w = self.u, self.v, self.w
-        B1 = beta + c1 * H
-        B2 = beta - (c1 + c2) * H
-        B3 = 2 * beta - c2 * H
+        lam1, lam2, lam3, lam_tail = self.alg.spectrum
+        B1 = lam1 + lam2
+        B2 = lam2 - lam_tail
+        B3 = lam2 - lam3
         rf = RationalFunction
         # quotient forms (each pair is antisymmetric in its two lower slots)
         q_23 = rf(-h, B1)  # and its partner q_2j3 = +h/B1
@@ -541,9 +525,9 @@ class _Pipeline:
         # residue checks above check them.  Diagonal coefficients enter as the
         # antisymmetric partners of w414 resp. w313.
         derived = {
-            "3.42": rf(-(w * u) - (c1 + c2) * (beta * H)) - 2 * p_2j3_j32,
-            "3.43": rf(-(w * v) - (c1 + c2) * (H * (c2 * H - beta))) - 2 * p_3j2_j23,
-            "3.44": rf(-(v * u) - beta * (c2 * H - beta)) - 2 * Fraction(n - 3) * p_23_3j2,
+            "3.42": rf(-(w * u) - lam_tail * lam2) - 2 * p_2j3_j32,
+            "3.43": rf(-(w * v) - lam_tail * lam3) - 2 * p_3j2_j23,
+            "3.44": rf(-(v * u) - lam2 * lam3) - 2 * Fraction(n - 3) * p_23_3j2,
         }
         relations: dict[str, str] = {}
         for tag, source in (("3.42", "3.34"), ("3.43", "3.35"), ("3.44", "3.36")):
@@ -582,6 +566,7 @@ class _Pipeline:
 
     def lemma32(self) -> Lemma32Certificates:
         c1, c2 = self.c1, self.c2
+        lam1, lam2, lam3, lam_tail = self.alg.spectrum
         # Pair branch: two relations linear in the shared quotient X.
         ring = PolynomialRing(("H", "beta", "X"))
         H, beta, X = ring.var("H"), ring.var("beta"), ring.var("X")
@@ -601,7 +586,7 @@ class _Pipeline:
         q_pair.append(self._add_side_condition(self.q, "3.22"))
         pattern = H * (2 * beta - c2 * H) ** 2
         unit_pair = self._unit(elim, pattern, "pair-branch eliminant")
-        self._add_side_condition(self.c2 * self.H - 2 * self.beta, "3.18")
+        self._add_side_condition(lam3 - lam2, "3.18")
         pair_cert = EliminantCertificate(
             label="pair-directions",
             eliminant=elim.render(),
@@ -616,16 +601,16 @@ class _Pipeline:
         # tail direction; the whole bracket is stationary, leaving only the
         # derivative of the polynomial part.
         r = self.ring
-        H_, beta_, E_ = self.H, self.beta, self.E
+        H_, E_ = self.H, self.E
         u_, v_ = self.u, self.v
         ekb = r.var("ekb")
-        A_den = (c1 + c2) * H_ - beta_
-        B_den = c1 * H_ + beta_
-        F = RationalFunction((c1 + c2) * E_, c2 * H_)
+        A_den = lam_tail - lam2
+        B_den = lam1 + lam2
+        F = RationalFunction((c1 + c2) * E_, lam2 + lam3)
         # the two stationary quotients
         g1 = (F + u_) / A_den
         g2 = (F + v_) / B_den
-        lhs = (g1 - g2) * E_ + 2 * (H_ * (2 * beta_ - c2 * H_))
+        lhs = (g1 - g2) * E_ + 2 * (H_ * (lam2 - lam3))
         zero = r.zero()
         tail_rules: dict[str, RationalFunction | Polynomial] = {
             "H": zero,
@@ -653,7 +638,7 @@ class _Pipeline:
             self._add_side_condition(A_den, "3.22"),
             self._add_side_condition(B_den, "3.23"),
         ]
-        self._add_side_condition(self.c2 * self.H, "3.22")
+        self._add_side_condition(lam2 + lam3, "3.22")
         tail_cert = EliminantCertificate(
             label="tail-directions",
             eliminant=coeff.render(),
@@ -669,7 +654,7 @@ class _Pipeline:
 
     def masters(self) -> MasterEquations:
         n, c1, c2 = self.n, self.c1, self.c2
-        H, beta, E, EE = self.H, self.beta, self.E, self.EE
+        H, E, EE = self.H, self.E, self.EE
         u, v, w = self.u, self.v, self.w
         p, q, K = self.p, self.q, self.K
         Ds = self.alg.scratch_derivation
@@ -700,15 +685,15 @@ class _Pipeline:
         rel48 = Ds.of_poly_strict(rel50) - w * rel50
         master_second_unreduced = rel48 + 2 * (w * rel50)
         master_second = master_second_unreduced.scale(1 / (c1 + c2))
-        # third master equation: trace/type relation assembled from the spectrum
-        trace_sq = c1**2 + c2**2 + (n - 3) * (c1 + c2) ** 2
+        # third master equation: trace/type relation, H times the squared trace
+        # of the spectrum (lam_tail counted n - 3 times)
+        *first_three, lam_tail = self.alg.spectrum
+        trace_sq = sum((lam * lam for lam in first_three), (n - 3) * lam_tail**2)
         master_third = (
             -EE
             - (u + v) * E
             - Fraction(n - 3) * (w * E)
-            + trace_sq * H**3
-            - 2 * c2 * (H**2 * beta)
-            + 2 * (H * beta**2)
+            + H * trace_sq
             - self.a_poly * H
         )
 
@@ -773,7 +758,8 @@ class _Pipeline:
             state.Q = (Fraction(n - 3) * w_sum_value + self.K).scale(
                 Fraction(state.sign)
             )
-        self._add_side_condition(self.c2 * self.H, "3.59")
+        lam2, lam3 = self.alg.spectrum[1:3]
+        self._add_side_condition(lam2 + lam3, "3.59")
 
         rep = self.branches[BRANCH_REPLAYED]
         lone = w * E - rep.Y
@@ -824,15 +810,15 @@ class _Pipeline:
     # -- stage: tangency curve -------------------------------------------------------
 
     def tangency(self):
-        n, c2 = self.n, self.c2
-        H = self.H
+        c2 = self.c2
         p, q = self.p, self.q
+        # D(E) as the second master equation gives it, in terms of w414*E
+        flow_E = self.EE - self.run("masters").second
 
         for state in self.branches.values():
-            # flow derivative of (E^2 - S) along the tangency locus
-            G = state.Y.scale(Fraction(-(n + 2))) + (
-                Fraction(-(n**3), 2 * (n - 2)) * H**3
-            )
+            # flow derivative of (E^2 - S) along the tangency locus, over E:
+            # 2*D(E) with w414*E replaced by this branch's value Y
+            G = 2 * flow_E.rewrite_product("w414", "E", state.Y)
             dS_H = state.S.diff("H")
             dS_b = state.S.diff("beta")
             phi2 = G - dS_H
@@ -881,8 +867,9 @@ class _Pipeline:
             ) * state.curve9.diff("H")
             reduced = self._exact_div(raw, self.H, "prolonged curve is not a multiple of H")
             state.curve12 = self._form_part(reduced).primitive()
+        lam2, lam3 = self.alg.spectrum[1:3]
         self._add_side_condition(self.p, "3.64")
-        self._add_side_condition(self.c2 * self.H, "3.65")
+        self._add_side_condition(lam2 + lam3, "3.65")
 
         rep = self.branches[BRANCH_REPLAYED]
         self._support_checkpoint(

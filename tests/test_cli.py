@@ -379,6 +379,12 @@ MALFORMED_INPUT = {
         None,
         "beyond the float range",
     ),
+    # rounds to the largest float, but its exact value lies beyond it
+    "spectrum-past-the-largest-float": (
+        ["delta", "--r", "2", "--spectrum", "1.7976931348623158e308,1,2"],
+        None,
+        "beyond the float range",
+    ),
     "zero-restarts": (
         ["delta", "--r", "2", "--spectrum", "1,2,3", "--restarts", "0"],
         None,
@@ -458,6 +464,28 @@ def test_spectrum_beyond_the_float_range_is_refused_before_it_is_built(capsys):
     assert code == 2
     assert err.startswith("error:") and "beyond the float range" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("part", ["1e-99999999999", "1e-10000000"])
+def test_spectrum_below_the_float_range_is_refused_before_it_is_built(capsys, part):
+    # a nonzero part that rounds to 0.0; its exact denominator is 10**|exponent|
+    with time_limit(2):
+        code, out, err = run(
+            capsys, "delta", "--r", "2", "--no-optimizer", "--spectrum", f"{part},1,2"
+        )
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "below the float range" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("zero", ["0e99999999999", "0e-99999999999"])
+def test_spectrum_zero_reads_as_zero_whatever_its_exponent(capsys, zero):
+    expected = run(capsys, "delta", "--r", "2", "--no-optimizer", "--spectrum", "0,1,2")
+    with time_limit(2):
+        got = run(capsys, "delta", "--r", "2", "--no-optimizer", "--spectrum", f"{zero},1,2")
+    assert got == expected
+    assert got[0] == 0
 
 
 class TestInputSources:

@@ -124,6 +124,19 @@ class TestFrameAlgebra:
             assert rule.degree(wname) == 2
             assert (rule + wv * wv).degree(wname) == 0
 
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_spectrum_has_trace_nH_and_drives_the_flow_rules(self, n):
+        alg = build_algebra(ReplayConfig(n=n))
+        lam1, lam2, lam3, lam_tail = alg.spectrum
+        H, beta = alg.ring.var("H"), alg.ring.var("beta")
+        assert (lam1, lam2) == (alg.c1 * H, beta)
+        assert lam1 + lam2 + lam3 + (n - 3) * lam_tail == n * H
+        rule = alg.scratch_derivation.rule
+        assert rule("beta").as_polynomial() == (lam1 - lam2) * alg.ring.var("w212")
+        for name, lam in zip(("w212", "w313", "w414"), (lam2, lam3, lam_tail)):
+            w = alg.ring.var(name)
+            assert rule(name).as_polynomial() == -w * w - lam1 * lam
+
     def test_scratch_derivation_keeps_second_derivative_free(self):
         alg = build_algebra(ReplayConfig(n=4))
         EE = alg.ring.var("EE")

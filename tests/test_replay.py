@@ -308,6 +308,22 @@ class TestElimination:
         assert ("3.61", "E") in rendered
         assert ("3.65", "H") in rendered
 
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_side_condition_vocabulary(self, n):
+        # the seven clearable denominators, written out in the constants c1, c2
+        alg = build_algebra(ReplayConfig(n=n))
+        c1, c2 = alg.c1, alg.c2
+        H, beta, E = (alg.ring.var(v) for v in ("H", "beta", "E"))
+        assert reference_forms.allowed_side_conditions(alg) == [
+            c1 * H - beta,
+            c2 * H - 2 * beta,
+            (c1 - c2) * H + beta,
+            (c1 + c2) * H - beta,
+            c1 * H + beta,
+            c2 * H,
+            E,
+        ]
+
     def test_checkpoint_census_n4(self, report4):
         by_status = {}
         for cp in report4.checkpoints:
@@ -621,9 +637,14 @@ class TestSpotcheck:
             else "specialization cross-check: 20 sample points consistent"
         )
 
-    def test_inadmissible_point_is_skipped(self, monkeypatch):
-        # the first point drawn at n = 4 is H = 20, where c9 loses its beta-degree
-        c9, c12 = (_H - 20) * _BETA + 1, _BETA**2 - _H
+    @pytest.mark.parametrize(
+        "c9, c12",
+        [((_H - 20) * _BETA + 1, _BETA**2 - _H), (_BETA**2 - _H, (_H - 20) * _BETA + 1)],
+        ids=["c9-loses-its-beta-degree", "c12-loses-its-beta-degree"],
+    )
+    def test_inadmissible_point_is_skipped(self, monkeypatch, c9, c12):
+        # the first point drawn at n = 4 is H = 20, where (H - 20)*beta + 1
+        # loses its beta-degree
         settled = []
         inner = replay_module._settled_mod_p
 
