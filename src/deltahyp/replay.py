@@ -284,7 +284,6 @@ class _Pipeline:
         # frequently used generators
         r = self.ring
         self.H = r.var("H")
-        self.beta = r.var("beta")
         self.E = r.var("E")
         self.EE = r.var("EE")
         self.u = r.var("w212")

@@ -4,22 +4,20 @@ The resultant of two polynomials with respect to one variable is the
 determinant of their Sylvester matrix, built with the rows of the first
 operand on top (this fixes the sign convention).
 
-Determinants are computed by evaluation and interpolation, never on
-polynomial entries.  Each row is scaled by the lcm of its coefficient
-denominators, so every entry has integer coefficients.  The determinant's
-degree in each variable that occurs is bounded by the smaller of the row and
-column sums of the entries' degrees.  The integer matrix is evaluated at every
-point of the grid 0..bound (one axis per variable), and each value is exact:
-``det_bareiss`` runs a fraction-free Bareiss elimination on plain ``int``s.
-``resultant`` clears each operand's denominators once, since
-Res(lf, mg) = l^deg g * m^deg f * Res(f, g), and takes each value from the
-two evaluated coefficient lists by the subresultant PRS that ``poly_gcd``
-also runs, here over ``int`` (``_int_resultant``).  All divisions in both
-kernels are exact.  Integer forward differences interpolate the values in
-Newton form, which is converted to monomials, and one division by the scale
-gives the rational determinant.
-A naive cofactor expansion on polynomial entries is kept as a cross-checking
-oracle for small matrices.
+``resultant`` computes it by evaluation and interpolation, never on
+polynomial entries.  Each operand's coefficients are scaled once by the lcm
+of their denominators, since Res(lf, mg) = l^deg g * m^deg f * Res(f, g).
+The resultant's degree in each variable that occurs is bounded by the smaller
+of the row and column sums of the Sylvester entries' degrees.  At every point
+of the grid 0..bound (one axis per variable) the two integer coefficient
+lists are evaluated, and the subresultant PRS that ``poly_gcd`` also runs
+gives the exact value over ``int`` (``_int_resultant``).  Integer forward
+differences interpolate the values in Newton form, which is converted to
+monomials, and one division by the scale gives the rational resultant.
+
+``det_bareiss`` is the general determinant: a plain fraction-free Bareiss
+elimination on the polynomial entries, independent of the grid, so it
+cross-checks the resultant's degree bounds and interpolation.
 """
 
 from __future__ import annotations
@@ -51,31 +49,6 @@ def sylvester_matrix(f: Polynomial, g: Polynomial, var: str) -> list[list[Polyno
     # descending coefficient lists: [lead, ..., constant]
     return _sylvester_rows(f.coefficients_in(var)[::-1], g.coefficients_in(var)[::-1],
                            f.ring.zero())
-
-
-def _int_det(m: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of an integer matrix (consumed)."""
-    size = len(m)
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if not m[k][k]:
-            pivot_row = next((i for i in range(k + 1, size) if m[i][k]), None)
-            if pivot_row is None:
-                return 0
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        row_k = m[k]
-        pivot = row_k[k]
-        tail_k = row_k[k + 1 :]
-        for i in range(k + 1, size):
-            row_i = m[i]
-            lead = row_i[k]
-            # the division by the previous pivot is exact (Sylvester's identity)
-            row_i[k + 1 :] = [(a * pivot - lead * b) // prev
-                              for a, b in zip(row_i[k + 1 :], tail_k)]
-        prev = pivot
-    return sign * m[size - 1][size - 1]
 
 
 def _int_resultant(f: list[int], g: list[int]) -> int:
@@ -157,94 +130,35 @@ def _used(polys: list[Polynomial]) -> list[int]:
     return sorted({i for p in polys for exp in p.terms for i, e in enumerate(exp) if e})
 
 
-def _interpolated(ring, used: list[int], rows: list[list[tuple]], scale: int,
-                  value_at) -> Polynomial:
-    """The determinant of the integer-entry ``rows`` divided by ``scale``.
-
-    Each row entry is ((exponents in the ``used`` variables, integer
-    coefficient), ...).  ``value_at(at, slots)`` is the integer determinant at
-    one grid point: ``at`` holds the values of the distinct entries there and
-    ``slots[i][j]`` is the index in ``at`` of entry (i, j).
-    """
-    # a zero row or column makes the determinant zero; otherwise bound the
-    # degree in each variable by the row sum and the column sum of the
-    # entries' degrees
-    if any(not any(row) for row in rows) or any(not any(col) for col in zip(*rows)):
-        return ring.zero()
-    bounds = []
-    for axis in range(len(used)):
-        degrees = [[max((exp[axis] for exp, _ in entry), default=0) for entry in row]
-                   for row in rows]
-        bounds.append(min(sum(map(max, degrees)), sum(map(max, zip(*degrees)))))
-    # a Sylvester matrix repeats its entries along the diagonals, so each
-    # distinct entry is evaluated once per point, and each distinct monomial
-    distinct: dict[tuple, int] = {}
-    slots = [[distinct.setdefault(entry, len(distinct)) for entry in row] for row in rows]
-    monomials: dict[tuple, int] = {}
-    entries = [[(monomials.setdefault(exp, len(monomials)), c) for exp, c in entry]
-               for entry in distinct]
-    values: dict[tuple[int, ...], int] = {}
-    for point in product(*(range(b + 1) for b in bounds)):
-        mono = [math.prod(x**e for x, e in zip(point, exp)) for exp in monomials]
-        at = [sum(c * mono[k] for k, c in entry) for entry in entries]
-        values[point] = value_at(at, slots)
-    # interpolate one axis at a time: grid indices become exponents
-    for axis, bound in enumerate(bounds):
-        lines: dict[tuple[int, ...], list[int]] = {}
-        for point, value in values.items():
-            key = point[:axis] + point[axis + 1 :]
-            lines.setdefault(key, [0] * (bound + 1))[point[axis]] = value
-        values = {
-            key[:axis] + (e,) + key[axis:]: c
-            for key, line in lines.items()
-            for e, c in enumerate(_newton_to_monomial(line))
-        }
-    terms = {}
-    width = len(ring.vars)
-    for point, value in values.items():
-        if value:
-            exp = [0] * width
-            for i, e in zip(used, point):
-                exp[i] = e
-            terms[tuple(exp)] = Fraction(value, scale)
-    return Polynomial(ring, terms)
-
-
 def det_bareiss(matrix: list[list[Polynomial]]) -> Polynomial:
-    """Exact determinant of a polynomial matrix by evaluation and interpolation."""
+    """Exact determinant of a polynomial matrix by fraction-free Bareiss
+    elimination (Bareiss, Math. Comp. 22, 1968) on its entries."""
     if not matrix or any(len(row) != len(matrix) for row in matrix):
         raise ValueError("determinant of a matrix that is not square with at least one row")
     ring = matrix[0][0].ring
     if any(p.ring != ring for row in matrix for p in row):
         raise RingMismatchError("matrix entries live in different rings")
-    used = _used([p for row in matrix for p in row])
-    # each row scaled by the lcm of its denominators
-    scale = 1
-    rows = []
-    for row in matrix:
-        lcm, entries = _cleared(row, used)
-        scale *= lcm
-        rows.append(entries)
-    return _interpolated(ring, used, rows, scale,
-                         lambda at, slots: _int_det([[at[k] for k in row] for row in slots]))
-
-
-def det_cofactor(matrix: list[list[Polynomial]]) -> Polynomial:
-    """Naive cofactor expansion; exponential, intended as a test oracle (dim <= 8)."""
-    size = len(matrix)
-    ring = matrix[0][0].ring
-    if size == 1:
-        return matrix[0][0]
-    total = ring.zero()
-    for j in range(size):
-        entry = matrix[0][j]
-        if entry.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        sub = det_cofactor(minor)
-        term = entry * sub
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    m = [list(row) for row in matrix]
+    size = len(m)
+    sign = 1
+    prev = ring.one()
+    for k in range(size - 1):
+        if m[k][k].is_zero():
+            pivot_row = next((i for i in range(k + 1, size) if not m[i][k].is_zero()), None)
+            if pivot_row is None:
+                return ring.zero()
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        tail_k = m[k][k + 1 :]
+        for i in range(k + 1, size):
+            lead = m[i][k]
+            # each new entry is a minor, so the division by the previous
+            # pivot is exact (Sylvester's identity)
+            m[i][k + 1 :] = [(a * pivot - lead * b).exact_div(prev)
+                             for a, b in zip(m[i][k + 1 :], tail_k)]
+        prev = pivot
+    return m[-1][-1] if sign > 0 else -m[-1][-1]
 
 
 def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
@@ -256,8 +170,36 @@ def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     used = _used(fc + gc)
     lf, fi = _cleared(fc, used)
     lg, gi = _cleared(gc, used)
-    return _interpolated(
-        f.ring, used, _sylvester_rows(fi, gi, ()), lf**n * lg**m,
-        lambda at, slots: _int_resultant([at[k] for k in slots[0][: m + 1]],
-                                         [at[k] for k in slots[n][: n + 1]]),
-    )
+    # bound the degree in each variable by the row sum and the column sum of
+    # the Sylvester entries' degrees
+    bounds = []
+    for axis in range(len(used)):
+        fd, gd = ([max((exp[axis] for exp, _ in c), default=0) for c in cs] for cs in (fi, gi))
+        degrees = _sylvester_rows(fd, gd, 0)
+        bounds.append(min(sum(map(max, degrees)), sum(map(max, zip(*degrees)))))
+    # each distinct monomial is evaluated once per grid point
+    monomials: dict[tuple, int] = {}
+    coeffs = [[(monomials.setdefault(exp, len(monomials)), c) for exp, c in entry]
+              for entry in fi + gi]
+    values: dict[tuple[int, ...], int] = {}
+    for point in product(*(range(b + 1) for b in bounds)):
+        mono = [math.prod(x**e for x, e in zip(point, exp)) for exp in monomials]
+        at = [sum(c * mono[k] for k, c in entry) for entry in coeffs]
+        values[point] = _int_resultant(at[: m + 1], at[m + 1 :])
+    # interpolate one axis at a time: grid indices become exponents
+    for axis, bound in enumerate(bounds):
+        lines: dict[tuple[int, ...], list[int]] = {}
+        for point, value in values.items():
+            key = point[:axis] + point[axis + 1 :]
+            lines.setdefault(key, [0] * (bound + 1))[point[axis]] = value
+        values = {
+            key[:axis] + (e,) + key[axis:]: c
+            for key, line in lines.items()
+            for e, c in enumerate(_newton_to_monomial(line))
+        }
+    scale = lf**n * lg**m
+    width = len(f.ring.vars)
+    return Polynomial(f.ring, {
+        tuple(dict(zip(used, point)).get(i, 0) for i in range(width)): Fraction(value, scale)
+        for point, value in values.items() if value
+    })

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import first_integral_tables as tables
+from oracles import det_cofactor
 from deltahyp import (
     FRAME_VARS,
     Polynomial,
@@ -45,7 +46,7 @@ from deltahyp import (
     verify_omega_identities,
 )
 from deltahyp.replay import EXACT, UP_TO_UNIT, VERDICT_CONSTANT
-from deltahyp.resultant import det_cofactor, resultant, sylvester_matrix
+from deltahyp.resultant import resultant, sylvester_matrix
 from deltahyp.stiefel import tau_gradient, tau_of_frame
 from deltahyp.surfaces import ImmersionGrid
 

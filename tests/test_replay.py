@@ -207,6 +207,39 @@ class TestMasterEquations:
         for tag in ("3.54", "3.55", "3.56"):
             assert statuses[tag] == EXACT, (n, tag)
 
+    # The paper's second conclusion: at E = EE = 0 the third master equation
+    # is H * (tr A^2 - a), so where H is a nonzero constant tr A^2 = a, and the
+    # scalar curvature (n^2 H^2 - tr A^2) / 2 is constant.
+    A_VALUES = pytest.mark.parametrize("a_value", [None, Fraction(3, 2)],
+                                       ids=["symbolic-a", "numeric-a"])
+
+    @staticmethod
+    def assert_is_H_times_trace_sq_minus_a(third, alg, a_value):
+        ring = alg.ring
+        a = ring.var("a") if a_value is None else ring.const(a_value)
+        *first_three, lam_tail = alg.spectrum
+        trace_sq = sum(lam * lam for lam in first_three) + (alg.n - 3) * lam_tail**2
+        at_rest = third.substitute("E", 0).substitute("EE", 0)
+        assert at_rest == ring.var("H") * (trace_sq - a), alg.n
+
+    @A_VALUES
+    def test_reference_third_equation_fixes_the_scalar_curvature(self, a_value):
+        for n in range(4, 41):
+            alg = build_algebra(ReplayConfig(n=n))
+            a = alg.ring.var("a") if a_value is None else alg.ring.const(a_value)
+            self.assert_is_H_times_trace_sq_minus_a(
+                reference_forms.master_C(alg, a), alg, a_value
+            )
+
+    @A_VALUES
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_derived_third_equation_fixes_the_scalar_curvature(self, n, a_value):
+        cfg = (ReplayConfig(n=n) if a_value is None
+               else ReplayConfig(n=n, a_mode="numeric", a_value=a_value))
+        self.assert_is_H_times_trace_sq_minus_a(
+            derive_master_equations(cfg).third, build_algebra(cfg), a_value
+        )
+
 
 class TestFirstIntegrals:
     def test_derived_forms_at_n4(self):
@@ -446,7 +479,9 @@ class TestFailureModes:
     def test_quotient_that_kept_a_denominator_halts(self):
         pipeline = replay_module._Pipeline(ReplayConfig(n=4))
         with pytest.raises(CheckpointFailure) as err:
-            pipeline._as_polynomial(RationalFunction(pipeline.beta, pipeline.H), "relation")
+            pipeline._as_polynomial(
+                RationalFunction(pipeline.ring.var("beta"), pipeline.H), "relation"
+            )
         assert str(err.value) == "relation kept a denominator: (beta) / (H)"
         assert err.value.report.verdict == VERDICT_INCONCLUSIVE
 
@@ -508,7 +543,7 @@ class TestFailureModes:
     def test_inhomogeneous_curve_halts_with_partial_report(self, monkeypatch):
         # the final resultant is taken at H = 1 and H restored from the
         # weights; a curve off its weight must halt, never be rehomogenized
-        self.add_to_curve9(monkeypatch, lambda p: p.H * p.beta**2)
+        self.add_to_curve9(monkeypatch, lambda p: p.H * p.ring.var("beta")**2)
         with pytest.raises(CheckpointFailure, match="tangency curve is not weighted-homogeneous"
                            ) as err:
             replay_all(ReplayConfig(n=5))
@@ -519,7 +554,7 @@ class TestFailureModes:
         assert report.verdict == VERDICT_INCONCLUSIVE
 
     def test_inhomogeneous_curve_exits_three(self, monkeypatch, capsys, tmp_path):
-        self.add_to_curve9(monkeypatch, lambda p: p.H * p.beta**2)
+        self.add_to_curve9(monkeypatch, lambda p: p.H * p.ring.var("beta")**2)
         out = tmp_path / "partial.json"
         code = main(["replay", "--n", "5", "--out", str(out)])
         err = capsys.readouterr().err
@@ -534,7 +569,7 @@ class TestFailureModes:
     def test_numeric_curve_of_the_wrong_parity_halts(self, monkeypatch):
         # with a numeric type constant only the parity of a term's (H, beta)
         # degree shows its weight: H*beta cannot be a folded weight-9 term
-        self.add_to_curve9(monkeypatch, lambda p: p.H * p.beta)
+        self.add_to_curve9(monkeypatch, lambda p: p.H * p.ring.var("beta"))
         with pytest.raises(CheckpointFailure, match="tangency curve is not weighted-homogeneous"):
             replay_all(ReplayConfig(n=5, a_mode="numeric", a_value=Fraction(3, 2)))
 
@@ -560,13 +595,13 @@ class TestFinalResultantKernel:
         # ``deltahyp.resultant`` as an attribute is the re-exported function
         module = importlib.import_module("deltahyp.resultant")
         calls = []
-        inner = module._int_det
+        inner = module.det_bareiss
 
         def counting_det(matrix):
             calls.append(len(matrix))
             return inner(matrix)
 
-        monkeypatch.setattr(module, "_int_det", counting_det)
+        monkeypatch.setattr(module, "det_bareiss", counting_det)
         assert main(["replay", "--n", "4"]) == 0
         assert calls == []
 

@@ -10,13 +10,12 @@ from deltahyp import DegreeError, Polynomial, PolynomialRing, poly_gcd
 from deltahyp.errors import RingMismatchError
 from deltahyp.poly import subresultant_prs
 from deltahyp.resultant import (
-    _int_det,
     _int_resultant,
     det_bareiss,
-    det_cofactor,
     resultant,
     sylvester_matrix,
 )
+from oracles import det_cofactor
 
 RING = PolynomialRing(("t", "s"))
 T = RING.var("t")
@@ -166,9 +165,10 @@ def _int_mul(a, b):
 def _sylvester_det(f, g):
     """Bareiss determinant of the integer Sylvester matrix, f-rows first."""
     m, n = len(f) - 1, len(g) - 1
-    rows = [[0] * i + f + [0] * (n - 1 - i) for i in range(n)]
-    rows += [[0] * i + g + [0] * (m - 1 - i) for i in range(m)]
-    return _int_det(rows) if rows else 1
+    f, g = [RING.const(c) for c in f], [RING.const(c) for c in g]
+    rows = [[RING.zero()] * i + f + [RING.zero()] * (n - 1 - i) for i in range(n)]
+    rows += [[RING.zero()] * i + g + [RING.zero()] * (m - 1 - i) for i in range(m)]
+    return det_bareiss(rows).constant_value() if rows else 1
 
 
 @st.composite
