@@ -57,7 +57,7 @@ from .poly import (
     residue,
     residues,
 )
-from .resultant import resultant
+from .resultant import resultant, resultant_is_zero
 
 # Checkpoint statuses.
 EXACT = "exact-match"
@@ -256,7 +256,8 @@ class _BranchState:
     N: Polynomial = None
     curve9: Polynomial = None  # restricted to _CURVE_RING by eliminate
     curve12: Polynomial = None
-    final_resultant: Polynomial = None
+    final_resultant: Polynomial = None  # replayed branch only
+    resultant_nonzero: bool = None  # first-principles branch only
 
 
 class _Pipeline:
@@ -881,13 +882,17 @@ class _Pipeline:
     # -- stage: final elimination ----------------------------------------------------
 
     def eliminate(self) -> EliminationReport:
-        for state in self.branches.values():
+        for label, state in self.branches.items():
             state.curve9, state.curve12 = (
                 c.restrict_ring(_CURVE_RING) for c in (state.curve9, state.curve12)
             )
             if state.curve9.degree("beta") < 1 or state.curve12.degree("beta") < 1:
                 self._fail("both curves must be nonconstant in beta before elimination")
-            state.final_resultant = self._final_resultant(state.curve9, state.curve12)
+            if label == BRANCH_REPLAYED:
+                state.final_resultant = self._final_resultant(state.curve9, state.curve12)
+            else:
+                f, g, _ = self._at_one(state.curve9, state.curve12)
+                state.resultant_nonzero = not resultant_is_zero(f, g, "beta")
 
         rep = self.branches[BRANCH_REPLAYED]
         res = rep.final_resultant
@@ -898,7 +903,7 @@ class _Pipeline:
 
         nonzero = not res.is_zero()
         fp = self.branches[BRANCH_FIRST_PRINCIPLES]
-        fp_nonzero = not fp.final_resultant.is_zero()
+        fp_nonzero = fp.resultant_nonzero
         self.notes.append(
             f"final resultant is {'nonzero' if nonzero else 'identically zero'} "
             f"(degree {res.degree('H')} in H); "
@@ -915,7 +920,8 @@ class _Pipeline:
         )
 
     def _final_resultant(self, c9: Polynomial, c12: Polynomial) -> Polynomial:
-        """Resultant of the two curves in beta, taken at H = 1 with H restored.
+        """Resultant of the two curves in beta, taken at H = 1 with H restored
+        (``_at_one`` prepares and checks the curves).
 
         Both curves must be weighted-homogeneous for the weights H:1, beta:1,
         a:2, of weights D1 and D2; this is checked, never assumed.  Write
@@ -939,19 +945,30 @@ class _Pipeline:
         a = 1, with the same beta-degrees, so the numeric resultant is the
         unfolded one at a = 1; its terms r_k H^(D-2k) a^k have distinct
         powers of H, so setting a = 1 merges none of them.
+
+        Only the replayed branch's resultant is built.  The first-principles
+        branch is read only as nonzero or not, so ``eliminate`` runs the same
+        preparation and checks on its curves and asks ``resultant_is_zero``,
+        which stops at the first nonzero grid value.
         """
+        f, g, top = self._at_one(c9, c12)
         numeric = self.cfg.a_mode == "numeric"
-        if numeric:
+        at_one = resultant(f, g, "beta")
+        return Polynomial(
+            _CURVE_RING,
+            {(top - 2 * k, 0, 0 if numeric else k): c for (_, _, k), c in at_one.terms.items()},
+        )
+
+    def _at_one(self, c9: Polynomial, c12: Polynomial) -> tuple[Polynomial, Polynomial, int]:
+        """The curves at H = 1 and the resultant's weight, after checking that
+        both curves are weighted-homogeneous (a numeric type constant unfolded)."""
+        if self.cfg.a_mode == "numeric":
             c9, c12 = self._unfold(c9), self._unfold(c12)
         d9 = self._weight(c9, "tangency curve")
         d12 = self._weight(c12, "prolonged curve")
         m, n = c9.degree("beta"), c12.degree("beta")
         top = n * d9 + m * d12 - m * n
-        at_one = resultant(c9.substitute("H", 1), c12.substitute("H", 1), "beta")
-        return Polynomial(
-            _CURVE_RING,
-            {(top - 2 * k, 0, 0 if numeric else k): c for (_, _, k), c in at_one.terms.items()},
-        )
+        return c9.substitute("H", 1), c12.substitute("H", 1), top
 
     @staticmethod
     def _unfold(curve: Polynomial) -> Polynomial:

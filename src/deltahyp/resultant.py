@@ -14,6 +14,9 @@ lists are evaluated, and the subresultant PRS that ``poly_gcd`` also runs
 gives the exact value over ``int`` (``_int_resultant``).  Integer forward
 differences interpolate the values in Newton form, which is converted to
 monomials, and one division by the scale gives the rational resultant.
+The grid yields its values lazily, so ``resultant_is_zero`` reads the same
+grid and stops at the first nonzero value: that value proves the resultant
+nonzero, and a grid of zeros interpolates to the zero polynomial.
 
 ``det_bareiss`` is the general determinant: a plain fraction-free Bareiss
 elimination on the polynomial entries, independent of the grid, so it
@@ -161,8 +164,15 @@ def det_bareiss(matrix: list[list[Polynomial]]) -> Polynomial:
     return m[-1][-1] if sign > 0 else -m[-1][-1]
 
 
-def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
-    """Resultant of f and g in ``var`` (free of ``var`` in the result)."""
+def _grid(f: Polynomial, g: Polynomial, var: str):
+    """(used, bounds, scale, values) of the resultant of f and g in ``var``.
+
+    ``used`` are the indices of the ring variables that occur, ``bounds`` the
+    degree bound in each, and ``scale`` the factor lf^n * lg^m that clearing
+    the denominators put on the resultant.  ``values`` yields (point, value)
+    lazily over the grid 0..bound, in ``product`` order: each value is the
+    scaled resultant's exact integer value at that point.
+    """
     matrix = sylvester_matrix(f, g, var)
     # the first f-row and the first g-row are the descending coefficient lists
     m, n = f.degree(var), g.degree(var)
@@ -181,11 +191,28 @@ def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     monomials: dict[tuple, int] = {}
     coeffs = [[(monomials.setdefault(exp, len(monomials)), c) for exp, c in entry]
               for entry in fi + gi]
-    values: dict[tuple[int, ...], int] = {}
-    for point in product(*(range(b + 1) for b in bounds)):
-        mono = [math.prod(x**e for x, e in zip(point, exp)) for exp in monomials]
-        at = [sum(c * mono[k] for k, c in entry) for entry in coeffs]
-        values[point] = _int_resultant(at[: m + 1], at[m + 1 :])
+
+    def values():
+        for point in product(*(range(b + 1) for b in bounds)):
+            mono = [math.prod(x**e for x, e in zip(point, exp)) for exp in monomials]
+            at = [sum(c * mono[k] for k, c in entry) for entry in coeffs]
+            yield point, _int_resultant(at[: m + 1], at[m + 1 :])
+
+    return used, bounds, lf**n * lg**m, values()
+
+
+def resultant_is_zero(f: Polynomial, g: Polynomial, var: str) -> bool:
+    """Whether the resultant of f and g in ``var`` is zero, read from the
+    resultant's own grid: it stops at the first nonzero value, which proves
+    the resultant nonzero, and an all-zero grid interpolates to zero."""
+    *_, values = _grid(f, g, var)
+    return not any(value for _, value in values)
+
+
+def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
+    """Resultant of f and g in ``var`` (free of ``var`` in the result)."""
+    used, bounds, scale, grid = _grid(f, g, var)
+    values = dict(grid)
     # interpolate one axis at a time: grid indices become exponents
     for axis, bound in enumerate(bounds):
         lines: dict[tuple[int, ...], list[int]] = {}
@@ -197,7 +224,6 @@ def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
             for key, line in lines.items()
             for e, c in enumerate(_newton_to_monomial(line))
         }
-    scale = lf**n * lg**m
     width = len(f.ring.vars)
     return Polynomial(f.ring, {
         tuple(dict(zip(used, point)).get(i, 0) for i in range(width)): Fraction(value, scale)

@@ -358,6 +358,33 @@ class TestIntegerKernel:
         assert poly_module.residues(f) == expected
 
     @KERNEL_SETTINGS
+    @given(
+        # exponents up to 99, the final resultant's degree in H
+        st.dictionaries(st.tuples(*[st.integers(0, 99)] * len(RING.vars)), KERNEL_COEFFS,
+                        min_size=1, max_size=6),
+        st.sampled_from(RING.vars),
+        st.lists(st.one_of(
+            st.integers(-9, 9),
+            st.integers(0, 2**70),
+            # values that vanish mod P
+            st.sampled_from([0, poly_module.MODULUS, -2 * poly_module.MODULUS]),
+        ), min_size=2, max_size=2),
+    )
+    def test_dense_mod_p_is_the_exact_substitution_mod_p(self, terms, main, points):
+        # the spot check's residue images: each value is substituted exactly
+        # over Q, then reduced mod P, with zero residues kept in the dense list
+        f = Polynomial(RING, terms)
+        values = dict(zip((v for v in RING.vars if v != main), points))
+        exact = f
+        for var, value in values.items():
+            exact = exact.substitute(var, value)
+        i = RING.index(main)
+        expected = [0] * (f.degree(main) + 1)
+        for exp, c in exact.terms.items():
+            expected[exp[i]] = poly_module.residue(c)
+        assert poly_module.dense_mod_p(poly_module.residues(f), RING, main, values) == expected
+
+    @KERNEL_SETTINGS
     @given(st.lists(KERNEL_POLYS, min_size=1, max_size=4))
     def test_resultant_rows_share_one_common_denominator(self, polys):
         lcm = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))

@@ -35,7 +35,7 @@ from deltahyp import reference_forms
 from deltahyp.cli import main
 from deltahyp import replay as replay_module
 from deltahyp.poly import MODULUS
-from deltahyp.resultant import det_bareiss, resultant, sylvester_matrix
+from deltahyp.resultant import det_bareiss, resultant, resultant_is_zero, sylvester_matrix
 from deltahyp.replay import (
     BRANCH_FIRST_PRINCIPLES,
     BRANCH_REPLAYED,
@@ -607,7 +607,7 @@ class TestFinalResultantKernel:
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_final_resultants_equal_the_bareiss_determinant(self, monkeypatch, n):
-        taken = []
+        taken, tested = [], []
 
         def recording(f, g, var, **kwargs):
             value = resultant(f, g, var, **kwargs)
@@ -615,14 +615,53 @@ class TestFinalResultantKernel:
                 taken.append((f, g, value))
             return value
 
+        def recording_zero_test(f, g, var):
+            tested.append((f, g))
+            return resultant_is_zero(f, g, var)
+
         monkeypatch.setattr(replay_module, "resultant", recording)
+        monkeypatch.setattr(replay_module, "resultant_is_zero", recording_zero_test)
         report = replay_all(ReplayConfig(n=n))
-        # one per branch: the replayed one and the first-principles one
-        assert len(taken) == 1 + len(report.branches) == 2
-        for f, g, value in taken:
-            assert f.support(("H",)) == g.support(("H",)) == {(0,)}  # taken at H = 1
-            assert value == det_bareiss(sylvester_matrix(f, g, "beta"))
-            assert not value.is_zero()
+        # only the replayed branch's resultant is built; the first-principles
+        # branch is read as nonzero or not
+        assert len(taken) == len(tested) == 1
+        (f, g, value), = taken
+        assert f.support(("H",)) == g.support(("H",)) == {(0,)}  # taken at H = 1
+        assert value == det_bareiss(sylvester_matrix(f, g, "beta"))
+        assert not value.is_zero()
+        (f, g), = tested
+        assert f.support(("H",)) == g.support(("H",)) == {(0,)}
+        assert report.branches[BRANCH_FIRST_PRINCIPLES].resultant_nonzero == (
+            not det_bareiss(sylvester_matrix(f, g, "beta")).is_zero()
+        )
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_first_principles_decision_reads_one_grid_point(self, monkeypatch, n):
+        module = importlib.import_module("deltahyp.resultant")
+        inner_value, inner_zero_test = module._int_resultant, replay_module.resultant_is_zero
+        points, depth = [], [0]
+
+        def counting_value(f, g):
+            # _int_resultant recurses through this name; count the outermost calls
+            if not depth[0]:
+                points.append((f, g))
+            depth[0] += 1
+            try:
+                return inner_value(f, g)
+            finally:
+                depth[0] -= 1
+
+        def counted_zero_test(f, g, var):
+            monkeypatch.setattr(module, "_int_resultant", counting_value)
+            try:
+                return inner_zero_test(f, g, var)
+            finally:
+                monkeypatch.setattr(module, "_int_resultant", inner_value)
+
+        monkeypatch.setattr(replay_module, "resultant_is_zero", counted_zero_test)
+        report = replay_all(ReplayConfig(n=n))
+        assert report.branches[BRANCH_FIRST_PRINCIPLES].resultant_nonzero
+        assert len(points) == 1
 
 
 class TestSpotcheck:

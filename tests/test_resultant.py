@@ -10,9 +10,11 @@ from deltahyp import DegreeError, Polynomial, PolynomialRing, poly_gcd
 from deltahyp.errors import RingMismatchError
 from deltahyp.poly import subresultant_prs
 from deltahyp.resultant import (
+    _grid,
     _int_resultant,
     det_bareiss,
     resultant,
+    resultant_is_zero,
     sylvester_matrix,
 )
 from oracles import det_cofactor
@@ -265,6 +267,45 @@ X, Y, Z = (GRID_RING.var(v) for v in ("x", "y", "z"))
 def test_resultant_with_vanishing_leading_coefficients(f, g):
     assert resultant(f, g, "x") == det_cofactor(sylvester_matrix(f, g, "x"))
     assert resultant(g, f, "x") == det_cofactor(sylvester_matrix(g, f, "x"))
+
+
+@st.composite
+def zero_test_pairs(draw):
+    """Pairs over Q[x, y, z] in x with 0..2 of y, z used.  Some share a factor
+    of positive degree in x (a zero resultant); some get a leading coefficient
+    (y - r)(y - s) or (z - r) that vanishes at grid points."""
+    extra = draw(st.integers(0, 2))
+    exps = st.tuples(st.integers(0, 3), *(st.integers(0, 2) if i < extra else st.just(0)
+                                          for i in range(2)))
+    polys = st.dictionaries(exps, COEFFS, min_size=1, max_size=4).map(
+        lambda t: Polynomial(GRID_RING, t)
+    ).filter(lambda p: p.degree("x") >= 1)
+    f, g = draw(polys), draw(polys)
+    shape = draw(st.sampled_from(("plain", "shared", "vanishing-lead")))
+    if shape == "shared":
+        common = draw(polys)
+        f, g = f * common, g * common
+    elif shape == "vanishing-lead" and extra:
+        roots = st.integers(0, 3)
+        lead = (Y - draw(roots)) * (Y - draw(roots)) if extra == 1 else Z - draw(roots)
+        f = f + lead * X ** (f.degree("x") + 1)
+        if draw(st.booleans()):
+            g = g + (Y - draw(roots)) * X ** (g.degree("x") + 1)
+    return f, g
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(zero_test_pairs())
+def test_zero_test_reads_the_resultant_grid(pair):
+    f, g = pair
+    assert resultant_is_zero(f, g, "x") == resultant(f, g, "x").is_zero()
+
+
+def test_zero_test_reads_past_a_zero_grid_value():
+    # Res_x(x - y, x) = y vanishes at the first grid point y = 0 only
+    assert [value for _, value in _grid(X - Y, X, "x")[3]][:2] == [0, 1]
+    assert not resultant_is_zero(X - Y, X, "x")
+    assert resultant_is_zero((X - Y) * (X + Z), (X + Z) * X, "x")
 
 
 class TestResultantValues:
