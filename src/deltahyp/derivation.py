@@ -105,6 +105,11 @@ class DerivationAlgebra:
     spectrum: tuple[Polynomial, Polynomial, Polynomial, Polynomial]
     scratch_derivation: Derivation = field(repr=False)
 
+    def trace_sq(self) -> Polynomial:
+        """tr A^2: the squares of ``spectrum``, lam_tail counted n - 3 times."""
+        *first_three, lam_tail = self.spectrum
+        return sum((lam * lam for lam in first_three), (self.n - 3) * lam_tail**2)
+
 
 def build_algebra(cfg: ReplayConfig) -> DerivationAlgebra:
     """Construct the frame calculus for dimension cfg.n.

@@ -1,18 +1,19 @@
 """Exact-arithmetic sparse multivariate polynomials and rational functions.
 
-The ring fixes an ordered tuple of variable names.  A polynomial stores a map
-from exponent vectors (tuples of non-negative ints, one slot per ring
-variable) to nonzero ``fractions.Fraction`` coefficients.  The canonical term
-order is graded lexicographic: higher total degree first, ties broken by the
-exponent vector compared left to right (earlier ring variables are stronger).
+The ring fixes an ordered tuple of variable names.  A polynomial stores its
+integer image: one denominator ``den > 0`` over a map ``nums`` from exponent
+vectors (tuples of non-negative ints, one slot per ring variable) to nonzero
+``int`` numerators, with gcd(den, *nums) = 1; zero is (1, {}).  The form is
+canonical, so ``==`` and ``hash`` read it directly.  ``terms`` is a view built
+on each read, ``{exp: Fraction(num, den)}``.  The canonical term order is
+graded lexicographic: higher total degree first, ties broken by the exponent
+vector compared left to right (earlier ring variables are stronger).
 Canonical text renders terms in descending order, e.g. ``-1/2*w212*E + 44*H^3``.
 
-Products and exact quotients run on integers: each operand's coefficients are
-put over their common denominator once, the inner loops multiply, add and
-divide ``int``s, and one ``Fraction`` is formed per output term.  Contents,
-primitive parts, residues mod ``MODULUS`` and the resultant's integer rows
-come from the same integer image, ``_cleared``.  Results of the arithmetic
-are built by ``_make``, which trusts its input; ``Polynomial`` validates.
+The arithmetic runs on the image: sums put both sides over the lcm of their
+denominators, the inner loops of products and exact quotients multiply, add
+and divide ``int``s, and ``_from_image`` reduces each result with one gcd.
+``Polynomial`` validates ``Fraction`` input and clears it once (``_cleared``).
 
 Everything here is immutable after construction and safe to share.
 """
@@ -70,10 +71,10 @@ class PolynomialRing:
             raise UnknownVariableError(f"{var!r} is not in ring {self.vars}") from None
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return _from_image(self, 1, {})
 
     def one(self) -> "Polynomial":
-        return self.const(1)
+        return _from_image(self, 1, {(0,) * len(self.vars): 1})
 
     def const(self, value) -> "Polynomial":
         return Polynomial(self, {(0,) * len(self.vars): value})
@@ -81,7 +82,7 @@ class PolynomialRing:
     def var(self, name: str) -> "Polynomial":
         exp = [0] * len(self.vars)
         exp[self.index(name)] = 1
-        return Polynomial(self, {tuple(exp): Fraction(1)})
+        return _from_image(self, 1, {tuple(exp): 1})
 
     def parse(self, text: str) -> "Polynomial":
         return parse_polynomial(self, text)
@@ -97,15 +98,20 @@ def _cleared(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[int, dict]:
     return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
 
 
-def _signed_content(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[int, int, dict]:
-    """(D, g, B) with nonzero ``terms`` = (g / D) * B: D from ``_cleared``, g
-    the gcd of its image with the sign of the leading coefficient, and B the
-    image divided by g, primitive with a positive leading coefficient."""
-    den, ints = _cleared(terms)
-    g = math.gcd(*ints.values())
-    if ints[max(ints, key=_grlex_key)] < 0:
+def _ratio(value) -> tuple[int, int]:
+    """(p, q) with the rational ``value`` = p / q in lowest terms, q > 0."""
+    q, image = _cleared({(): Fraction(value)})
+    return image[()], q
+
+
+def _signed_content(p: "Polynomial") -> tuple[int, dict]:
+    """(g, B) with the numerators of a nonzero ``p`` equal to g * B: g their gcd
+    signed as the leading one, B primitive with a positive leading coefficient."""
+    nums = p.nums
+    g = math.gcd(*nums.values())
+    if nums[max(nums, key=_grlex_key)] < 0:
         g = -g
-    return den, g, {e: c // g for e, c in ints.items()}
+    return g, {e: c // g for e, c in nums.items()}
 
 
 def fraction_text(q: Fraction | int) -> str:
@@ -128,7 +134,7 @@ def _digits(k: int) -> str:
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "den", "nums")
 
     def __init__(self, ring: PolynomialRing, terms: Mapping[tuple[int, ...], Fraction]):
         clean = {}
@@ -140,26 +146,32 @@ class Polynomial:
                 coeff = Fraction(coeff)
             if coeff:
                 clean[tuple(exp)] = coeff
+        # reduced coefficients over the lcm of their denominators share no factor
+        den, nums = _cleared(clean)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
 
     def __setattr__(self, *_):  # pragma: no cover - guard
         raise AttributeError("Polynomial is immutable")
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """The coefficients as ``Fraction``s, built on each read."""
+        return {e: Fraction(c, self.den) for e, c in self.nums.items()}
+
     # -- basic predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return all(sum(exp) == 0 for exp in self.terms)
+        return all(sum(exp) == 0 for exp in self.nums)
 
     def constant_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.nums.values()), 0), self.den)
 
     # -- ring arithmetic ----------------------------------------------------
 
@@ -172,18 +184,21 @@ class Polynomial:
     def __add__(self, other):
         other = self._coerce(other)
         self._check(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
+        den = math.lcm(self.den, other.den)
+        m1, m2 = den // self.den, den // other.den
+        out = {e: c * m1 for e, c in self.nums.items()}
+        for exp, coeff in other.nums.items():
+            coeff *= m2
             if exp in out:
                 coeff += out[exp]
                 if not coeff:
                     del out[exp]
                     continue
             out[exp] = coeff
-        return _make(self.ring, out)
+        return _from_image(self.ring, den, out)
 
     def __neg__(self):
-        return _make(self.ring, {e: -c for e, c in self.terms.items()})
+        return _from_image(self.ring, self.den, {e: -c for e, c in self.nums.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -192,16 +207,14 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
-        d1, t1 = _cleared(self.terms)
-        d2, t2 = _cleared(other.terms)
         out: dict[tuple[int, ...], int] = {}
         get, add = out.get, operator.add
-        for e1, c1 in t1.items():
-            for e2, c2 in t2.items():
+        t2 = other.nums.items()
+        for e1, c1 in self.nums.items():
+            for e2, c2 in t2:
                 exp = tuple(map(add, e1, e2))
                 out[exp] = get(exp, 0) + c1 * c2
-        den = d1 * d2
-        return _make(self.ring, {e: Fraction(c, den) for e, c in out.items() if c})
+        return _from_image(self.ring, self.den * other.den, {e: c for e, c in out.items() if c})
 
     def __rmul__(self, other):
         return self * other
@@ -230,10 +243,10 @@ class Polynomial:
         return self.ring.const(other)
 
     def scale(self, value) -> "Polynomial":
-        value = Fraction(value)
-        if not value:
+        num, den = _ratio(value)
+        if not num:
             return self.ring.zero()
-        return _make(self.ring, {e: c * value for e, c in self.terms.items()})
+        return _from_image(self.ring, self.den * den, {e: c * num for e, c in self.nums.items()})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -241,11 +254,12 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.ring == other.ring
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
+        return hash((self.ring, self.den, tuple(sorted(self.nums.items()))))
 
     # -- structure ----------------------------------------------------------
 
@@ -254,26 +268,22 @@ class Polynomial:
         if self.is_zero():
             return -1
         i = self.ring.index(var)
-        return max(exp[i] for exp in self.terms)
+        return max(exp[i] for exp in self.nums)
 
     def total_degree(self) -> int:
         if self.is_zero():
             return -1
-        return max(sum(exp) for exp in self.terms)
+        return max(sum(exp) for exp in self.nums)
 
     def variables_used(self) -> tuple[str, ...]:
-        used = [False] * len(self.ring.vars)
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    used[i] = True
-        return tuple(v for v, u in zip(self.ring.vars, used) if u)
+        used = {i for exp in self.nums for i, e in enumerate(exp) if e}
+        return tuple(v for i, v in enumerate(self.ring.vars) if i in used)
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
+        exp = max(self.nums, key=_grlex_key)
+        return exp, Fraction(self.nums[exp], self.den)
 
     def leading_coefficient(self) -> Fraction:
         return self.leading()[1]
@@ -283,22 +293,22 @@ class Polynomial:
         exp = [0] * len(self.ring.vars)
         for var, power in powers.items():
             exp[self.ring.index(var)] = power
-        return self.terms.get(tuple(exp), Fraction(0))
+        return Fraction(self.nums.get(tuple(exp), 0), self.den)
 
     def support(self, variables: Sequence[str] | None = None) -> set[tuple[int, ...]]:
         """Exponent vectors of the terms, cut down to ``variables`` when given."""
         if variables is None:
-            return set(self.terms)
+            return set(self.nums)
         slots = [self.ring.index(var) for var in variables]
-        return {tuple(exp[i] for i in slots) for exp in self.terms}
+        return {tuple(exp[i] for i in slots) for exp in self.nums}
 
     def coefficients_in(self, var: str) -> list["Polynomial"]:
         """Dense coefficient list [c_0, ..., c_d] viewing self in ``var``."""
         i = self.ring.index(var)
         dense: list[dict] = [{} for _ in range(self.degree(var) + 1)]
-        for exp, coeff in self.terms.items():
+        for exp, coeff in self.nums.items():
             dense[exp[i]][exp[:i] + (0,) + exp[i + 1 :]] = coeff
-        return [_make(self.ring, terms) for terms in dense]
+        return [_from_image(self.ring, self.den, nums) for nums in dense]
 
     def rewrite_product(self, var_a: str, var_b: str, value: "Polynomial") -> "Polynomial":
         """Replace every occurrence of the product ``var_a*var_b`` by ``value``.
@@ -309,7 +319,7 @@ class Polynomial:
         """
         self._check(value)
         ia, ib = self.ring.index(var_a), self.ring.index(var_b)
-        if any(exp[ia] + exp[ib] > 1 for exp in value.terms):
+        if any(exp[ia] + exp[ib] > 1 for exp in value.nums):
             raise DegreeError(
                 f"replacement for {var_a}*{var_b} has joint degree above one: "
                 f"{value.render()}"
@@ -318,7 +328,7 @@ class Polynomial:
         while True:
             # terms holding the product, with one var_a*var_b taken out
             lowered, rest = {}, {}
-            for exp, coeff in current.terms.items():
+            for exp, coeff in current.nums.items():
                 if exp[ia] and exp[ib]:
                     key = list(exp)
                     key[ia] -= 1
@@ -328,21 +338,17 @@ class Polynomial:
                     rest[exp] = coeff
             if not lowered:
                 return current
-            current = Polynomial(self.ring, rest) + Polynomial(self.ring, lowered) * value
+            ring, den = self.ring, current.den
+            current = _from_image(ring, den, rest) + _from_image(ring, den, lowered) * value
 
     # -- calculus / evaluation ----------------------------------------------
 
     def diff(self, var: str) -> "Polynomial":
         i = self.ring.index(var)
         # lowering one exponent is injective, so no two terms meet
-        return _make(
-            self.ring,
-            {
-                exp[:i] + (exp[i] - 1,) + exp[i + 1 :]: coeff * exp[i]
-                for exp, coeff in self.terms.items()
-                if exp[i]
-            },
-        )
+        lowered = {exp[:i] + (exp[i] - 1,) + exp[i + 1 :]: coeff * exp[i]
+                   for exp, coeff in self.nums.items() if exp[i]}
+        return _from_image(self.ring, self.den, lowered)
 
     def substitute(self, var: str, value) -> "Polynomial":
         """Partial evaluation: replace one variable by a rational or polynomial."""
@@ -353,21 +359,22 @@ class Polynomial:
                 out = out * value + coeff
             return out
         i = self.ring.index(var)
-        value = Fraction(value)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exp, coeff in self.terms.items():
-            key = exp[:i] + (0,) + exp[i + 1 :]
-            terms[key] = terms.get(key, 0) + coeff * value ** exp[i]
-        return Polynomial(self.ring, terms)
+        p, q = _ratio(value)
+        # c * (p/q)^k over den is c * p^k * q^(top - k) over den * q^top
+        top = max((exp[i] for exp in self.nums), default=0)
+        p_pow, q_pow = [p**k for k in range(top + 1)], [q**k for k in range(top + 1)]
+        nums: dict[tuple[int, ...], int] = {}
+        for exp, coeff in self.nums.items():
+            key, k = exp[:i] + (0,) + exp[i + 1 :], exp[i]
+            nums[key] = nums.get(key, 0) + coeff * p_pow[k] * q_pow[top - k]
+        return _from_image(self.ring, self.den * q_pow[top], {e: c for e, c in nums.items() if c})
 
     def restrict_ring(self, ring: PolynomialRing) -> "Polynomial":
         """Re-express in a smaller/other ring containing every used variable."""
-        positions = []
-        for var in self.ring.vars:
-            positions.append(ring._index.get(var, -1))
+        positions = [ring._index.get(var, -1) for var in self.ring.vars]
         out = {}
         width = len(ring.vars)
-        for exp, coeff in self.terms.items():
+        for exp, coeff in self.nums.items():
             new = [0] * width
             for i, e in enumerate(exp):
                 if not e:
@@ -379,7 +386,7 @@ class Polynomial:
                     )
                 new[j] = e
             out[tuple(new)] = coeff
-        return Polynomial(ring, out)
+        return _from_image(ring, self.den, out)
 
     # -- division / normalization --------------------------------------------
 
@@ -398,11 +405,13 @@ class Polynomial:
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        d2 = divisor.den
         if divisor.is_constant():
-            return self.scale(Fraction(1) / divisor.constant_value())
-        d1, remainder = _cleared(self.terms)
-        d2, g, b = _signed_content(divisor.terms)
-        div_exp = divisor.leading()[0]
+            (g,) = divisor.nums.values()
+            return _from_image(self.ring, self.den * g, {e: c * d2 for e, c in self.nums.items()})
+        remainder = dict(self.nums)
+        g, b = _signed_content(divisor)
+        div_exp = max(b, key=_grlex_key)
         div_coeff = b[div_exp]
         quotient: dict[tuple[int, ...], int] = {}
         add, sub = operator.add, operator.sub
@@ -422,23 +431,20 @@ class Polynomial:
                     remainder[key] = val
                 else:
                     remainder.pop(key, None)
-        den = d1 * g
-        return _make(self.ring, {e: Fraction(q * d2, den) for e, q in quotient.items()})
+        return _from_image(self.ring, self.den * g, {e: q * d2 for e, q in quotient.items()})
 
     def __floordiv__(self, divisor):
         return self.exact_div(divisor)
 
     def content(self) -> Fraction:
         """Positive rational content (gcd of coefficients); 0 for zero."""
-        den, ints = _cleared(self.terms)
-        return Fraction(math.gcd(*ints.values()), den)
+        return Fraction(math.gcd(*self.nums.values()), self.den)
 
     def primitive(self) -> "Polynomial":
         """Canonical primitive part: content 1, positive leading coefficient."""
         if self.is_zero():
             return self
-        _, _, b = _signed_content(self.terms)
-        return _make(self.ring, {e: Fraction(c) for e, c in b.items()})
+        return _from_image(self.ring, 1, _signed_content(self)[1])
 
     # -- rendering ------------------------------------------------------------
 
@@ -449,19 +455,23 @@ class Polynomial:
         if self.is_zero():
             return "0"
         pieces = []
-        for position, (exp, coeff) in enumerate(self.sorted_terms()):
+        for position, exp in enumerate(sorted(self.nums, key=_grlex_key, reverse=True)):
             mono = "*".join(
                 name if e == 1 else f"{name}^{e}"
                 for name, e in zip(self.ring.vars, exp)
                 if e
             )
-            mag = abs(coeff)
+            coeff = self.nums[exp]
+            # |coeff| / den in lowest terms
+            g = math.gcd(coeff, self.den)
+            num, den = abs(coeff) // g, self.den // g
+            mag = fraction_text(num) + ("" if den == 1 else f"/{fraction_text(den)}")
             if not mono:
-                body = fraction_text(mag)
-            elif mag == 1:
+                body = mag
+            elif num == den == 1:
                 body = mono
             else:
-                body = f"{fraction_text(mag)}*{mono}"
+                body = f"{mag}*{mono}"
             if position == 0:
                 pieces.append(body if coeff > 0 else f"-{body}")
             else:
@@ -472,12 +482,19 @@ class Polynomial:
         return f"<Polynomial {self.render()}>"
 
 
-def _make(ring: PolynomialRing, terms: dict[tuple[int, ...], Fraction]) -> Polynomial:
-    """A Polynomial that takes ``terms`` as is: exponent tuples of the ring's
-    width mapped to nonzero ``Fraction``s, unchecked."""
+def _from_image(ring: PolynomialRing, den: int, nums: dict[tuple[int, ...], int]) -> Polynomial:
+    """``nums`` / ``den`` in canonical form, by one gcd and a sign.  It trusts its
+    input: exponent tuples of the ring's width to nonzero ints, ``den`` != 0."""
+    g = math.gcd(den, *nums.values())
+    if den < 0:
+        g = -g
+    if g != 1:
+        den //= g
+        nums = {e: c // g for e, c in nums.items()}
     p = object.__new__(Polynomial)
     object.__setattr__(p, "ring", ring)
-    object.__setattr__(p, "terms", terms)
+    object.__setattr__(p, "den", den)
+    object.__setattr__(p, "nums", nums)
     return p
 
 
@@ -529,12 +546,14 @@ def parse_polynomial(ring: PolynomialRing, text: str) -> Polynomial:
 def _from_dense(coeffs: list[Polynomial], main: str, ring: PolynomialRing) -> Polynomial:
     """Inverse of ``coefficients_in``: sum of coeffs[k] * main^k."""
     i = ring.index(main)
-    terms: dict[tuple[int, ...], Fraction] = {}
+    den = math.lcm(*(c.den for c in coeffs))
+    nums: dict[tuple[int, ...], int] = {}
     for k, c in enumerate(coeffs):
-        for exp, coeff in c.terms.items():
+        scale = den // c.den
+        for exp, coeff in c.nums.items():
             key = exp[:i] + (exp[i] + k,) + exp[i + 1 :]
-            terms[key] = terms.get(key, 0) + coeff
-    return Polynomial(ring, terms)
+            nums[key] = nums.get(key, 0) + coeff * scale
+    return _from_image(ring, den, {e: c for e, c in nums.items() if c})
 
 
 def subresultant_prs(f: list, g: list) -> tuple[list, list, object, int]:
@@ -652,11 +671,10 @@ def residues(p: Polynomial) -> dict[tuple[int, ...], int] | None:
     """The terms of ``p`` with their coefficients mod MODULUS, or None when
     MODULUS divides a denominator.  Zero residues are kept, so every degree
     read from the result is the degree of ``p``."""
-    den, ints = _cleared(p.terms)
-    if not den % MODULUS:
+    if not p.den % MODULUS:
         return None
-    inv = pow(den, -1, MODULUS)
-    return {e: c * inv % MODULUS for e, c in ints.items()}
+    inv = pow(p.den, -1, MODULUS)
+    return {e: c * inv % MODULUS for e, c in p.nums.items()}
 
 
 def dense_mod_p(

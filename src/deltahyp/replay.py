@@ -51,6 +51,7 @@ from .poly import (
     Polynomial,
     PolynomialRing,
     RationalFunction,
+    _from_image,
     dense_mod_p,
     gcd_degree_mod_p,
     poly_gcd,
@@ -686,14 +687,12 @@ class _Pipeline:
         master_second_unreduced = rel48 + 2 * (w * rel50)
         master_second = master_second_unreduced.scale(1 / (c1 + c2))
         # third master equation: trace/type relation, H times the squared trace
-        # of the spectrum (lam_tail counted n - 3 times)
-        *first_three, lam_tail = self.alg.spectrum
-        trace_sq = sum((lam * lam for lam in first_three), (n - 3) * lam_tail**2)
+        # of the spectrum
         master_third = (
             -EE
             - (u + v) * E
             - Fraction(n - 3) * (w * E)
-            + H * trace_sq
+            + H * self.alg.trace_sq()
             - self.a_poly * H
         )
 
@@ -954,9 +953,10 @@ class _Pipeline:
         f, g, top = self._at_one(c9, c12)
         numeric = self.cfg.a_mode == "numeric"
         at_one = resultant(f, g, "beta")
-        return Polynomial(
+        return _from_image(
             _CURVE_RING,
-            {(top - 2 * k, 0, 0 if numeric else k): c for (_, _, k), c in at_one.terms.items()},
+            at_one.den,
+            {(top - 2 * k, 0, 0 if numeric else k): c for (_, _, k), c in at_one.nums.items()},
         )
 
     def _at_one(self, c9: Polynomial, c12: Polynomial) -> tuple[Polynomial, Polynomial, int]:
@@ -974,15 +974,16 @@ class _Pipeline:
     def _unfold(curve: Polynomial) -> Polynomial:
         """Give each term H^i beta^j the power a^k that makes its weight the
         curve's (H, beta)-degree; ``_weight`` rejects a term of the wrong parity."""
-        top = max(h + b for h, b, _ in curve.terms)
-        return Polynomial(
+        top = max(h + b for h, b, _ in curve.nums)
+        return _from_image(
             _CURVE_RING,
-            {(h, b, (top - h - b) // 2): c for (h, b, _), c in curve.terms.items()},
+            curve.den,
+            {(h, b, (top - h - b) // 2): c for (h, b, _), c in curve.nums.items()},
         )
 
     def _weight(self, curve: Polynomial, what: str) -> int:
         """The weight of a curve homogeneous for H:1, beta:1, a:2."""
-        weights = {h + b + 2 * k for h, b, k in curve.terms}
+        weights = {h + b + 2 * k for h, b, k in curve.nums}
         if len(weights) != 1:
             self._fail(
                 f"{what} is not weighted-homogeneous for H:1, beta:1, a:2 "
@@ -1105,6 +1106,15 @@ def verify_lemma32(cfg: ReplayConfig) -> Lemma32Certificates:
 def derive_master_equations(cfg: ReplayConfig) -> MasterEquations:
     """Derive the three master equations and check them against the reference."""
     return _Pipeline(cfg).run("masters")
+
+
+def fixes_scalar_curvature(third: Polynomial, alg: DerivationAlgebra, a: Polynomial) -> bool:
+    """The paper's second conclusion, read off a third master equation: at
+    E = EE = 0 it is H * (tr A^2 - a), tr A^2 from ``alg.trace_sq``.  Where H is
+    a nonzero constant, tr A^2 = a, so the scalar curvature
+    (n^2 H^2 - tr A^2) / 2 is constant."""
+    at_rest = third.substitute("E", 0).substitute("EE", 0)
+    return at_rest == alg.ring.var("H") * (alg.trace_sq() - a)
 
 
 def derive_first_integrals(cfg: ReplayConfig) -> FirstIntegrals:

@@ -26,11 +26,10 @@ cross-checks the resultant's degree bounds and interpolation.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import product
 
 from .errors import DegreeError, RingMismatchError
-from .poly import Polynomial, _cleared as _integer_image, subresultant_prs
+from .poly import Polynomial, _from_image, subresultant_prs
 
 
 def _sylvester_rows(fc: list, gc: list, zero) -> list[list]:
@@ -119,18 +118,17 @@ def _newton_to_monomial(values: list[int]) -> list[int]:
 def _cleared(polys: list[Polynomial], used: list[int]) -> tuple[int, list[tuple]]:
     """The lcm of the coefficient denominators of ``polys``, and each polynomial
     times it as ((exponents in the used variables, integer coefficient), ...):
-    each one's integer image (``poly._cleared``) scaled up to the lcm."""
-    images = [_integer_image(p.terms) for p in polys]
-    lcm = math.lcm(*(den for den, _ in images))
+    each one's integer image scaled up to the lcm."""
+    lcm = math.lcm(*(p.den for p in polys))
     return lcm, [
-        tuple((tuple(exp[i] for i in used), c * (lcm // den)) for exp, c in ints.items())
-        for den, ints in images
+        tuple((tuple(exp[i] for i in used), c * (lcm // p.den)) for exp, c in p.nums.items())
+        for p in polys
     ]
 
 
 def _used(polys: list[Polynomial]) -> list[int]:
     """Indices of the ring variables that occur in ``polys``."""
-    return sorted({i for p in polys for exp in p.terms for i, e in enumerate(exp) if e})
+    return sorted({i for p in polys for exp in p.nums for i, e in enumerate(exp) if e})
 
 
 def det_bareiss(matrix: list[list[Polynomial]]) -> Polynomial:
@@ -225,7 +223,7 @@ def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
             for e, c in enumerate(_newton_to_monomial(line))
         }
     width = len(f.ring.vars)
-    return Polynomial(f.ring, {
-        tuple(dict(zip(used, point)).get(i, 0) for i in range(width)): Fraction(value, scale)
+    return _from_image(f.ring, scale, {
+        tuple(dict(zip(used, point)).get(i, 0) for i in range(width)): value
         for point, value in values.items() if value
     })

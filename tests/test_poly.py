@@ -91,6 +91,28 @@ class TestParseRender:
         assert RING.parse("1*x - 1*y").render() == "x - y"
         assert RING.parse("3*x - 2*x").render() == "x"
 
+    @pytest.mark.parametrize(
+        "text, den",
+        [
+            # integral coefficients over a common denominator above 1
+            ("-20*x^3 + y*z + 1/2*z", 2),
+            # a unit coefficient and a constant term over one
+            ("1/6*x^2 - y + 4", 6),
+            ("-x*y + 3/4*z - 7", 4),
+        ],
+    )
+    def test_render_reduces_each_coefficient(self, text, den):
+        p = RING.parse(text)
+        assert p.den == den
+        assert p.render() == text
+
+    def test_render_past_the_digit_limit_over_a_denominator(self):
+        big = 10**5000
+        p = Polynomial(RING, {(1, 0, 0): Fraction(big), (0, 1, 0): Fraction(-(big + 1), 3),
+                              (0, 0, 0): Fraction(1, 2)})
+        assert p.den == 6
+        assert p.render() == f"{Decimal(big)}*x - {Decimal(big + 1)}/3*y + 1/2"
+
     @pytest.mark.parametrize("bad", ["x +", "x^", "(x", "x^-2"])
     def test_parse_rejects_garbage(self, bad):
         with pytest.raises((ParseError, DeltahypError)):
@@ -227,12 +249,28 @@ def fraction_primitive(f):
     return {e: c / content for e, c in f.terms.items()}
 
 
+def fraction_substitute(f, var, value):
+    i = f.ring.index(var)
+    out = {}
+    for exp, coeff in f.terms.items():
+        key = exp[:i] + (0,) + exp[i + 1 :]
+        out[key] = out.get(key, 0) + coeff * Fraction(value) ** exp[i]
+    return {e: c for e, c in out.items() if c}
+
+
 def assert_well_formed(p):
+    """The canonical integer image: den > 0, gcd(den, *nums) = 1, no zero
+    numerator, zero as (1, {}); and the ``Fraction`` view read from it."""
     width = len(p.ring.vars)
-    for exp, coeff in p.terms.items():
+    assert type(p.den) is int and p.den > 0
+    assert math.gcd(p.den, *p.nums.values()) == 1
+    assert p.nums or p.den == 1
+    for exp, num in p.nums.items():
         assert type(exp) is tuple and len(exp) == width
         assert all(type(e) is int and e >= 0 for e in exp)
-        assert type(coeff) is Fraction and coeff != 0
+        assert type(num) is int and num != 0
+    for exp, coeff in p.terms.items():
+        assert type(coeff) is Fraction and coeff == Fraction(p.nums[exp], p.den)
 
 
 # small and large numerators over small and large denominators, mixed in one
@@ -401,6 +439,47 @@ class TestIntegerKernel:
         assert_well_formed(f.scale(0))
         for coeff in f.coefficients_in(var):
             assert_well_formed(coeff)
+
+    @KERNEL_SETTINGS
+    @given(KERNEL_POLYS, KERNEL_POLYS, KERNEL_COEFFS, st.sampled_from(RING.vars))
+    def test_every_operation_keeps_the_image_canonical(self, f, g, value, var):
+        # a value of joint degree at most one in x and y, for rewrite_product
+        linear = Polynomial(RING, {e: c for e, c in g.terms.items() if e[0] + e[1] <= 1})
+        wider = PolynomialRing(("z", "t", "y", "x"))
+        results = [
+            f + g, f - g, -f, f * g, f.scale(value), f.diff(var), f.restrict_ring(wider),
+            f.substitute(var, value), f.substitute(var, g), f.primitive(),
+            f.rewrite_product("x", "y", linear), *f.coefficients_in(var),
+        ]
+        if not g.is_zero():
+            results.append((f * g).exact_div(g))
+        if value:
+            results.append(f.exact_div(RING.const(value)))
+        for result in results:
+            assert_well_formed(result)
+
+    @KERNEL_SETTINGS
+    @given(KERNEL_POLYS, KERNEL_POLYS)
+    def test_equality_and_hash_agree_with_the_fraction_view(self, f, g):
+        # pairs equal by construction, besides the drawn pair
+        pairs = [(f, g), (f, Polynomial(RING, f.terms)), (f, (f + g) - g),
+                 (f + f, f.scale(2)), (f * g, g * f)]
+        for p, q in pairs:
+            assert (p == q) == (p.terms == q.terms)
+            if p == q:
+                assert hash(p) == hash(q)
+        assert all(p == q for p, q in pairs[1:])
+
+    @KERNEL_SETTINGS
+    @given(KERNEL_POLYS, st.sampled_from(RING.vars), st.one_of(
+        st.sampled_from([0, -1, Fraction(-2, 3), Fraction(5, 7), Fraction(-9, 10**18)]),
+        KERNEL_COEFFS,
+    ))
+    def test_substitute_matches_the_fraction_loop(self, f, var, value):
+        # rational values: negative, with a denominator, and 0
+        result = f.substitute(var, value)
+        assert_well_formed(result)
+        assert result.terms == fraction_substitute(f, var, value)
 
 
 # the integer image is the exact layer's only reader of numerators and

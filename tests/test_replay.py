@@ -45,6 +45,7 @@ from deltahyp.replay import (
     UP_TO_UNIT,
     VERDICT_CONSTANT,
     VERDICT_INCONCLUSIVE,
+    fixes_scalar_curvature,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -214,31 +215,32 @@ class TestMasterEquations:
                                        ids=["symbolic-a", "numeric-a"])
 
     @staticmethod
-    def assert_is_H_times_trace_sq_minus_a(third, alg, a_value):
-        ring = alg.ring
-        a = ring.var("a") if a_value is None else ring.const(a_value)
-        *first_three, lam_tail = alg.spectrum
-        trace_sq = sum(lam * lam for lam in first_three) + (alg.n - 3) * lam_tail**2
-        at_rest = third.substitute("E", 0).substitute("EE", 0)
-        assert at_rest == ring.var("H") * (trace_sq - a), alg.n
+    def a_poly(alg, a_value):
+        return alg.ring.var("a") if a_value is None else alg.ring.const(a_value)
 
     @A_VALUES
     def test_reference_third_equation_fixes_the_scalar_curvature(self, a_value):
         for n in range(4, 41):
             alg = build_algebra(ReplayConfig(n=n))
-            a = alg.ring.var("a") if a_value is None else alg.ring.const(a_value)
-            self.assert_is_H_times_trace_sq_minus_a(
-                reference_forms.master_C(alg, a), alg, a_value
-            )
+            third = reference_forms.master_C(alg, self.a_poly(alg, a_value))
+            assert fixes_scalar_curvature(third, alg, self.a_poly(alg, a_value)), n
 
     @A_VALUES
     @pytest.mark.parametrize("n", range(4, 13))
     def test_derived_third_equation_fixes_the_scalar_curvature(self, n, a_value):
         cfg = (ReplayConfig(n=n) if a_value is None
                else ReplayConfig(n=n, a_mode="numeric", a_value=a_value))
-        self.assert_is_H_times_trace_sq_minus_a(
-            derive_master_equations(cfg).third, build_algebra(cfg), a_value
-        )
+        alg = build_algebra(cfg)
+        third = derive_master_equations(cfg).third
+        assert fixes_scalar_curvature(third, alg, self.a_poly(alg, a_value)), n
+
+    def test_the_check_rejects_a_shifted_trace(self):
+        # a third equation off by H * a at rest fails the check
+        alg = build_algebra(ReplayConfig(n=5))
+        a = alg.ring.var("a")
+        third = reference_forms.master_C(alg, a)
+        assert not fixes_scalar_curvature(third + alg.ring.var("H") * a, alg, a)
+        assert not fixes_scalar_curvature(third, alg, 2 * a)
 
 
 class TestFirstIntegrals:
