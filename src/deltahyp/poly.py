@@ -13,7 +13,11 @@ Canonical text renders terms in descending order, e.g. ``-1/2*w212*E + 44*H^3``.
 The arithmetic runs on the image: sums put both sides over the lcm of their
 denominators, the inner loops of products and exact quotients multiply, add
 and divide ``int``s, and ``_from_image`` reduces each result with one gcd.
-``Polynomial`` validates ``Fraction`` input and clears it once (``_cleared``).
+A one-term operand takes a shorter path: a product by a monomial shifts the
+other side's exponents, so no two products meet and nothing accumulates, and
+an exact quotient by a monomial shifts them back, in one pass over the terms
+(a negative exponent is a nonzero remainder).  Operations compare rings by
+identity before they compare variable names.  ``Polynomial`` validates ``Fraction`` input and clears it once (``_cleared``).
 
 Everything here is immutable after construction and safe to share.
 """
@@ -176,7 +180,7 @@ class Polynomial:
     # -- ring arithmetic ----------------------------------------------------
 
     def _check(self, other: "Polynomial") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError(
                 f"ring mismatch: {self.ring.vars} vs {other.ring.vars}"
             )
@@ -207,14 +211,22 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
+        den = self.den * other.den
+        add = operator.add
+        # a one-term factor shifts the other's exponents: no two products meet
+        if len(other.nums) == 1 or len(self.nums) == 1:
+            many, one = (self, other) if len(other.nums) == 1 else (other, self)
+            ((e2, c2),) = one.nums.items()
+            return _from_image(self.ring, den, {tuple(map(add, e1, e2)): c1 * c2
+                                                for e1, c1 in many.nums.items()})
         out: dict[tuple[int, ...], int] = {}
-        get, add = out.get, operator.add
+        get = out.get
         t2 = other.nums.items()
         for e1, c1 in self.nums.items():
             for e2, c2 in t2:
                 exp = tuple(map(add, e1, e2))
                 out[exp] = get(exp, 0) + c1 * c2
-        return _from_image(self.ring, self.den * other.den, {e: c for e, c in out.items() if c})
+        return _from_image(self.ring, den, {e: c for e, c in out.items() if c})
 
     def __rmul__(self, other):
         return self * other
@@ -406,15 +418,19 @@ class Polynomial:
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         d2 = divisor.den
-        if divisor.is_constant():
-            (g,) = divisor.nums.values()
-            return _from_image(self.ring, self.den * g, {e: c * d2 for e, c in self.nums.items()})
+        add, sub = operator.add, operator.sub
+        if len(divisor.nums) == 1:
+            # a monomial g * x^d / d2 divides term by term: each exponent drops by d
+            ((div_exp, g),) = divisor.nums.items()
+            quotient = {tuple(map(sub, e, div_exp)): c * d2 for e, c in self.nums.items()}
+            if any(min(e, default=0) < 0 for e in quotient):
+                raise ExactDivisionError("division left a nonzero remainder")
+            return _from_image(self.ring, self.den * g, quotient)
         remainder = dict(self.nums)
         g, b = _signed_content(divisor)
         div_exp = max(b, key=_grlex_key)
         div_coeff = b[div_exp]
-        quotient: dict[tuple[int, ...], int] = {}
-        add, sub = operator.add, operator.sub
+        quotient = {}
         while remainder:
             exp = max(remainder, key=_grlex_key)
             q_exp = tuple(map(sub, exp, div_exp))

@@ -4,23 +4,31 @@ The resultant of two polynomials with respect to one variable is the
 determinant of their Sylvester matrix, built with the rows of the first
 operand on top (this fixes the sign convention).
 
-``resultant`` computes it by evaluation and interpolation, never on
+When either operand has degree 1 in the variable, ``resultant`` returns the
+closed form by ``Polynomial`` arithmetic: for f = a1*x + a0 of degree 1 and
+g of degree n, Res(f, g) = a1^n * g(-a0/a1) = sum_j g_j (-a0)^j a1^(n-j),
+and Res(f, g) = (-1)^(deg f) * Res(g, f) when g is the linear one.
+
+Otherwise it computes the resultant by evaluation and interpolation, never on
 polynomial entries.  Each operand's coefficients are scaled once by the lcm
 of their denominators, since Res(lf, mg) = l^deg g * m^deg f * Res(f, g).
-The resultant's degree in each variable that occurs is bounded by the smaller
-of the row and column sums of the Sylvester entries' degrees.  At every point
-of the grid 0..bound (one axis per variable) the two integer coefficient
-lists are evaluated, and the subresultant PRS that ``poly_gcd`` also runs
-gives the exact value over ``int`` (``_int_resultant``).  Integer forward
-differences interpolate the values in Newton form, which is converted to
-monomials, and one division by the scale gives the rational resultant.
-The grid yields its values lazily, so ``resultant_is_zero`` reads the same
-grid and stops at the first nonzero value: that value proves the resultant
+The resultant's degree in each variable that occurs is bounded by the least
+of four bounds: the row and column sums of the Sylvester entries' degrees,
+and the Newton-polygon bound read from the roots of either operand
+(``_root_bound``).  At every point of the grid 0..bound (one axis per
+variable) the two integer coefficient lists are evaluated, and the
+subresultant PRS that ``poly_gcd`` also runs gives the exact value over
+``int`` (``_int_resultant``).  Integer forward differences interpolate the
+values in Newton form, which is converted to monomials, and one division by
+the scale gives the rational resultant.  The grid yields its values lazily,
+so ``resultant_is_zero`` reads the same grid, whatever the operands' degrees,
+and stops at the first nonzero value: that value proves the resultant
 nonzero, and a grid of zeros interpolates to the zero polynomial.
 
 ``det_bareiss`` is the general determinant: a plain fraction-free Bareiss
 elimination on the polynomial entries, independent of the grid, so it
-cross-checks the resultant's degree bounds and interpolation.
+cross-checks the closed form, the resultant's degree bounds and its
+interpolation.
 """
 
 from __future__ import annotations
@@ -39,15 +47,22 @@ def _sylvester_rows(fc: list, gc: list, zero) -> list[list]:
             + [[zero] * shift + gc + [zero] * (m - 1 - shift) for shift in range(m)])
 
 
-def sylvester_matrix(f: Polynomial, g: Polynomial, var: str) -> list[list[Polynomial]]:
-    """Sylvester matrix of f and g in ``var``; f-rows first."""
+def _degrees(f: Polynomial, g: Polynomial, var: str) -> tuple[int, int]:
+    """The degrees of f and g in ``var``, after the checks every resultant makes."""
     if f.ring != g.ring:
         raise RingMismatchError("operands live in different rings")
-    if f.degree(var) < 1 or g.degree(var) < 1:
+    m, n = f.degree(var), g.degree(var)
+    if m < 1 or n < 1:
         raise DegreeError(
             "resultant requires positive degree in the eliminated variable; "
             "handle constant operands separately"
         )
+    return m, n
+
+
+def sylvester_matrix(f: Polynomial, g: Polynomial, var: str) -> list[list[Polynomial]]:
+    """Sylvester matrix of f and g in ``var``; f-rows first."""
+    _degrees(f, g, var)
     # descending coefficient lists: [lead, ..., constant]
     return _sylvester_rows(f.coefficients_in(var)[::-1], g.coefficients_in(var)[::-1],
                            f.ring.zero())
@@ -162,6 +177,47 @@ def det_bareiss(matrix: list[list[Polynomial]]) -> Polynomial:
     return m[-1][-1] if sign > 0 else -m[-1][-1]
 
 
+def _root_bound(fd: list, gd: list) -> int:
+    """A bound on deg_v Res(f, g) read from the roots of f (Newton polygon).
+
+    ``fd`` and ``gd`` are deg_v of the coefficients f_i and g_j in ascending
+    order, None for a zero one; the leading f_m is nonzero.  The bound is
+        n * deg_v f_m + k * deg_v g_0 + sum over segments L * max_j (deg_v g_j - j*s)
+    with n the degree of g, k the number of vanishing low coefficients of f
+    (its roots at 0), and a segment of slope s and length L for each edge of
+    the upper hull of {(i, deg_v f_i) : f_i != 0}.  The maxima run over the
+    nonzero g_j, and L*s is an integer, so every term is an integer.
+
+    Proof: the coefficients lie in an integral domain R[v], on which
+    -deg_v is a valuation.  Extend it to a splitting field of f over the
+    fraction field, and write D for minus the extended valuation, so that
+    D = deg_v on R[v].  Then Res(f, g) = f_m^n * prod g(alpha) over the m roots alpha
+    of f.  By the Newton-polygon theorem a hull edge of slope s and length L
+    stands for exactly L nonzero roots with D(alpha) = -s, and the other k
+    roots are 0.  D is multiplicative, and by the ultrametric inequality
+    D(g(alpha)) <= max_j (deg_v g_j + j * D(alpha)); a root at 0 gives
+    g(0) = g_0.  Summing gives the bound.  If g_0 = 0 while k > 0 the
+    resultant is zero and any bound holds, so a zero g_0 counts as degree 0.
+    Res(g, f) = +-Res(f, g), so the bound with the roles swapped holds too.
+    """
+    zeros = next(i for i, d in enumerate(fd) if d is not None)
+    hull: list[tuple[int, int]] = []
+    for i, d in enumerate(fd):
+        if d is None:
+            continue
+        # drop the last vertex while it lies on or below the chord to (i, d)
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (d - hull[-2][1])
+                                 >= (hull[-1][1] - hull[-2][1]) * (i - hull[-2][0])):
+            hull.pop()
+        hull.append((i, d))
+    terms = [(j, e) for j, e in enumerate(gd) if e is not None]
+    # an edge of length L and rise R (slope R/L) adds L * max_j (e_j - j*R/L)
+    return (len(gd) - 1) * fd[-1] + zeros * (gd[0] or 0) + sum(
+        max((i2 - i1) * e - j * (d2 - d1) for j, e in terms)
+        for (i1, d1), (i2, d2) in zip(hull, hull[1:])
+    )
+
+
 def _grid(f: Polynomial, g: Polynomial, var: str):
     """(used, bounds, scale, values) of the resultant of f and g in ``var``.
 
@@ -170,6 +226,13 @@ def _grid(f: Polynomial, g: Polynomial, var: str):
     the denominators put on the resultant.  ``values`` yields (point, value)
     lazily over the grid 0..bound, in ``product`` order: each value is the
     scaled resultant's exact integer value at that point.
+
+    Each variable's bound is the least of the row sum and the column sum of
+    the Sylvester entries' degrees in it and the Newton-polygon bounds read
+    from the roots of f and from the roots of g (``_root_bound``).  On the
+    replay's final resultant, the curves' coefficient lists in beta (degrees
+    6 and 9) give 33 by the sums and 27 by either polygon in ``a`` at every
+    n = 4..16, where the resultant's a-degree is 25.
     """
     matrix = sylvester_matrix(f, g, var)
     # the first f-row and the first g-row are the descending coefficient lists
@@ -178,13 +241,14 @@ def _grid(f: Polynomial, g: Polynomial, var: str):
     used = _used(fc + gc)
     lf, fi = _cleared(fc, used)
     lg, gi = _cleared(gc, used)
-    # bound the degree in each variable by the row sum and the column sum of
-    # the Sylvester entries' degrees
     bounds = []
     for axis in range(len(used)):
-        fd, gd = ([max((exp[axis] for exp, _ in c), default=0) for c in cs] for cs in (fi, gi))
-        degrees = _sylvester_rows(fd, gd, 0)
-        bounds.append(min(sum(map(max, degrees)), sum(map(max, zip(*degrees)))))
+        # degrees in ascending order of the power of var, None for a zero coefficient
+        fd, gd = ([max((exp[axis] for exp, _ in c), default=None) for c in cs[::-1]]
+                  for cs in (fi, gi))
+        degrees = _sylvester_rows([d or 0 for d in fd[::-1]], [d or 0 for d in gd[::-1]], 0)
+        bounds.append(min(sum(map(max, degrees)), sum(map(max, zip(*degrees))),
+                          _root_bound(fd, gd), _root_bound(gd, fd)))
     # each distinct monomial is evaluated once per grid point
     monomials: dict[tuple, int] = {}
     coeffs = [[(monomials.setdefault(exp, len(monomials)), c) for exp, c in entry]
@@ -207,8 +271,28 @@ def resultant_is_zero(f: Polynomial, g: Polynomial, var: str) -> bool:
     return not any(value for _, value in values)
 
 
+def _linear_resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
+    """Res(f, g) for f = a1*x + a0 of degree 1 in ``var`` and g of degree n:
+    sum_j g_j (-a0)^j a1^(n-j), by Horner's rule in a1."""
+    a0, a1 = f.coefficients_in(var)
+    step = -a0
+    gc = g.coefficients_in(var)
+    res, power = gc[0], f.ring.one()
+    for g_j in gc[1:]:
+        power = power * step
+        res = res * a1 + g_j * power
+    return res
+
+
 def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     """Resultant of f and g in ``var`` (free of ``var`` in the result)."""
+    m, n = _degrees(f, g, var)
+    if m == 1:
+        return _linear_resultant(f, g, var)
+    if n == 1:
+        # Res(f, g) = (-1)^(m*n) * Res(g, f)
+        res = _linear_resultant(g, f, var)
+        return -res if m % 2 else res
     used, bounds, scale, grid = _grid(f, g, var)
     values = dict(grid)
     # interpolate one axis at a time: grid indices become exponents

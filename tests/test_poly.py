@@ -344,6 +344,24 @@ class TestIntegerKernel:
         else:
             assert f.exact_div(g).terms == expected
 
+    @KERNEL_SETTINGS
+    @given(KERNEL_POLYS, st.tuples(*[st.integers(0, 3)] * len(RING.vars)), CONTENTS)
+    def test_a_one_term_factor_shifts_exponents(self, f, exp, content):
+        # content is +-c with a denominator; products and quotients by the
+        # monomial skip the accumulating and the long-division loops
+        monomial = Polynomial(RING, {exp: content})
+        for product in (f * monomial, monomial * f):
+            assert_well_formed(product)
+            assert product.terms == fraction_mul(f, monomial)
+        quotient = (f * monomial).exact_div(monomial)
+        assert_well_formed(quotient)
+        assert quotient * monomial == f * monomial
+        assert quotient == f
+        if any(exp):
+            # the constant term's exponents would go negative
+            with pytest.raises(ExactDivisionError, match="^division left a nonzero remainder$"):
+                (f * monomial + 1).exact_div(monomial)
+
     @pytest.mark.parametrize(
         "dividend, divisor, quotient",
         [

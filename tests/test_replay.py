@@ -637,33 +637,65 @@ class TestFinalResultantKernel:
             not det_bareiss(sylvester_matrix(f, g, "beta")).is_zero()
         )
 
-    @pytest.mark.parametrize("n", [4, 8, 16])
-    def test_first_principles_decision_reads_one_grid_point(self, monkeypatch, n):
+    @staticmethod
+    def count_grid_points(monkeypatch, name):
+        """Wrap replay's ``name`` so that each of its calls appends the number of
+        grid points it evaluates: the outermost ``_int_resultant`` calls."""
         module = importlib.import_module("deltahyp.resultant")
-        inner_value, inner_zero_test = module._int_resultant, replay_module.resultant_is_zero
-        points, depth = [], [0]
+        inner_value, inner = module._int_resultant, getattr(replay_module, name)
+        counts, depth = [], [0]
 
         def counting_value(f, g):
             # _int_resultant recurses through this name; count the outermost calls
             if not depth[0]:
-                points.append((f, g))
+                counts[-1] += 1
             depth[0] += 1
             try:
                 return inner_value(f, g)
             finally:
                 depth[0] -= 1
 
-        def counted_zero_test(f, g, var):
+        def counted(f, g, var):
+            counts.append(0)
             monkeypatch.setattr(module, "_int_resultant", counting_value)
             try:
-                return inner_zero_test(f, g, var)
+                return inner(f, g, var)
             finally:
                 monkeypatch.setattr(module, "_int_resultant", inner_value)
 
-        monkeypatch.setattr(replay_module, "resultant_is_zero", counted_zero_test)
+        monkeypatch.setattr(replay_module, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_first_principles_decision_reads_one_grid_point(self, monkeypatch, n):
+        counts = self.count_grid_points(monkeypatch, "resultant_is_zero")
         report = replay_all(ReplayConfig(n=n))
         assert report.branches[BRANCH_FIRST_PRINCIPLES].resultant_nonzero
-        assert len(points) == 1
+        assert counts == [1]
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_final_resultant_reads_the_polygon_bounded_grid(self, monkeypatch, n):
+        # lemma32's pair-branch resultant is linear in X, so it takes the closed
+        # form and no grid point; the final resultant's a-degree is 25, and the
+        # Newton polygons bound it by 27 (28 points) where the Sylvester row
+        # and column sums give 33 (34 points)
+        counts = self.count_grid_points(monkeypatch, "resultant")
+        replay_all(ReplayConfig(n=n))
+        assert counts == [0, 28]
+
+    def test_lemma32_makes_no_grid_resultant(self, monkeypatch):
+        module = importlib.import_module("deltahyp.resultant")
+        calls = []
+        inner = module._int_resultant
+
+        def counting_value(f, g):
+            calls.append((f, g))
+            return inner(f, g)
+
+        monkeypatch.setattr(module, "_int_resultant", counting_value)
+        for n in (4, 5, 8):
+            verify_lemma32(ReplayConfig(n=n))
+        assert calls == []
 
 
 class TestSpotcheck:

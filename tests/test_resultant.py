@@ -308,6 +308,51 @@ def test_zero_test_reads_past_a_zero_grid_value():
     assert resultant_is_zero((X - Y) * (X + Z), (X + Z) * X, "x")
 
 
+NONZERO_COEFFS = st.builds(Fraction, st.sampled_from([-6, -3, -2, -1, 1, 2, 5]), st.integers(1, 5))
+
+
+@st.composite
+def oracle_pairs(draw):
+    """Pairs over Q[x, y, z] in x for the closed form and the grid's bounds.
+
+    Shapes: a linear operand on either side, whose constant term may vanish
+    and whose leading coefficient may hold y and z; sparse coefficient lists,
+    with interior zeros and constant terms that vanish on one side or both;
+    and pairs with a shared factor.  One or two of y, z occur.
+    """
+    extra = draw(st.integers(1, 2))
+    exps = st.tuples(st.just(0), st.integers(0, 3), st.integers(0, 2) if extra == 2
+                     else st.just(0))
+    nonzero = st.dictionaries(exps, NONZERO_COEFFS, min_size=1, max_size=3).map(
+        lambda t: Polynomial(GRID_RING, t))
+    slot = st.one_of(st.just(GRID_RING.zero()), nonzero)
+
+    def operand(degree, sparse=True):
+        low = [draw(slot if sparse else nonzero) for _ in range(degree)]
+        return sum((c * X**i for i, c in enumerate(low + [draw(nonzero)])), GRID_RING.zero())
+
+    shape = draw(st.sampled_from(("linear-f", "linear-g", "sparse", "shared")))
+    if shape == "shared":
+        common = operand(draw(st.integers(1, 2)), sparse=False)
+        f = operand(draw(st.integers(1, 2))) * common
+        g = operand(draw(st.integers(1, 2))) * common
+    elif shape == "sparse":
+        f, g = operand(draw(st.integers(2, 4))), operand(draw(st.integers(2, 4)))
+    else:
+        f, g = operand(1), operand(draw(st.integers(1, 4)))
+        if shape == "linear-g":
+            f, g = g, f
+    assume(len(set(f.variables_used() + g.variables_used()) - {"x"}) == extra)
+    return f, g
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(oracle_pairs())
+def test_resultant_equals_the_bareiss_determinant(pair):
+    f, g = pair
+    assert resultant(f, g, "x") == det_bareiss(sylvester_matrix(f, g, "x"))
+
+
 class TestResultantValues:
     def test_product_of_root_differences(self):
         # res(f, g) = lc(f)^deg(g) * lc(g)^deg(f) * prod (ri - sj) up to sign
