@@ -30,6 +30,13 @@ stops when its projected gradient norm is at most ``GRAD_TOL``, when
 floating point (no decrease is left that the value can show), or when
 ``MAX_HALVINGS`` halvings find no acceptable step.  Each restart returns its
 last frame.
+
+A mask filters the stack only when it drops a restart, and a line search
+whose first round accepts every searching restart hands its candidates on
+without a copy.  The arrays the kernels see, and so every restart's
+floating-point operations, are those of a loop that filters through every
+mask in every round; the results are bit-identical to it
+(``reference_minimize_tau`` in the tests).
 """
 
 from __future__ import annotations
@@ -46,41 +53,37 @@ BB_MAX_STEP = 1e3
 ETA = 0.85  # Zhang-Hager weight of the past values in the reference value
 
 
-def _transpose(X: np.ndarray) -> np.ndarray:
-    return np.swapaxes(X, -1, -2)
-
-
 def _inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Frobenius inner product of each (n, r) slice."""
-    return np.sum(X * Y, axis=(-2, -1))
+    return (X * Y).sum(axis=(-2, -1))
 
 
 def tau_of_frame(A: np.ndarray, F: np.ndarray):
     """tau of one frame (a float) or of each frame of a stack (an array)."""
-    B = _transpose(F) @ A @ F
-    tr = np.trace(B, axis1=-2, axis2=-1)
-    value = 0.5 * (tr * tr - _inner(B, _transpose(B)))
+    B = F.swapaxes(-1, -2) @ A @ F
+    tr = B.trace(0, -2, -1)
+    value = 0.5 * (tr * tr - _inner(B, B.swapaxes(-1, -2)))
     return float(value) if F.ndim == 2 else value
 
 
 def tau_gradient(A: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Euclidean gradient of tau_of_frame with respect to the frame entries."""
     AF = A @ F
-    B = _transpose(F) @ AF
-    tr = np.trace(B, axis1=-2, axis2=-1)[..., None, None]
+    B = F.swapaxes(-1, -2) @ AF
+    tr = B.trace(0, -2, -1)[..., None, None]
     return 2.0 * (tr * AF - AF @ B)
 
 
 def project_tangent(F: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Project an ambient direction onto the tangent space at F."""
-    FtG = _transpose(F) @ G
-    return G - F @ (0.5 * (FtG + _transpose(FtG)))
+    FtG = F.swapaxes(-1, -2) @ G
+    return G - F @ (0.5 * (FtG + FtG.swapaxes(-1, -2)))
 
 
 def retract_qf(Y: np.ndarray) -> np.ndarray:
     """QR retraction with the sign convention making R's diagonal positive."""
     Q, R = np.linalg.qr(Y)
-    signs = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
+    signs = np.sign(R.diagonal(0, -2, -1))
     signs[signs == 0.0] = 1.0
     return Q * signs[..., None, :]
 
@@ -102,17 +105,23 @@ def _trial_steps(move, grad_change) -> np.ndarray:
 def _line_search(A, F, val, ref, grad, step):
     """Nonmonotone backtracking from each frame's trial step.
 
-    ``ref`` holds each frame's reference value C.  The frames still searching
-    are filtered once per round, so a round retracts and evaluates only them.
-    Returns the new frames and values, set only where the returned mask
-    marks the frames that moved; a frame that did not move has converged,
-    stalled or run out of halvings.
+    ``ref`` holds each frame's reference value C.  Returns the ascending
+    indices of the frames that moved, with their new frames and values in
+    that order; a frame that did not move has converged, stalled or run out
+    of halvings.  A round retracts and evaluates only the frames still
+    searching.  A mask filters the arrays only when it drops a frame, and
+    when the first round accepts every frame its candidates are returned
+    without a copy.  Keeping the caller's order keeps each array the kernels
+    see equal to the one a search filtering every round would build.
     """
-    new_F, new_val = np.empty_like(F), np.empty_like(val)
-    moved = np.zeros(len(val), dtype=bool)
+    idx = np.arange(len(val))
     g2 = _inner(grad, grad)
-    idx = np.flatnonzero(np.sqrt(g2) > GRAD_TOL)
-    F, val, ref, grad, g2, step = F[idx], val[idx], ref[idx], grad[idx], g2[idx], step[idx]
+    searching = np.sqrt(g2) > GRAD_TOL
+    if not searching.all():
+        idx, F, val, ref, grad, g2, step = (
+            x[searching] for x in (idx, F, val, ref, grad, g2, step)
+        )
+    moved = []  # (indices, frames, values) accepted in each round
     for _ in range(MAX_HALVINGS):
         decrease = ARMIJO_C * step * g2
         live = val - decrease < val
@@ -125,12 +134,20 @@ def _line_search(A, F, val, ref, grad, step):
         candidate = retract_qf(F - step[:, None, None] * grad)
         cand_val = tau_of_frame(A, candidate)
         accept = cand_val <= ref - decrease
-        done = idx[accept]
-        new_F[done], new_val[done], moved[done] = candidate[accept], cand_val[accept], True
+        if accept.all():
+            moved.append((idx, candidate, cand_val))
+            break
+        moved.append((idx[accept], candidate[accept], cand_val[accept]))
         rest = ~accept
         idx, F, val, ref, grad, g2 = (x[rest] for x in (idx, F, val, ref, grad, g2))
         step = 0.5 * step[rest]
-    return new_F, new_val, moved
+    if len(moved) == 1:
+        return moved[0]
+    if not moved:  # no frame searched: idx, F and val are empty
+        return idx, F, val
+    idx, F, val = (np.concatenate(parts) for parts in zip(*moved))
+    order = np.argsort(idx)
+    return idx[order], F[order], val[order]
 
 
 def minimize_tau(
@@ -172,16 +189,16 @@ def minimize_tau(
             step = np.ones(len(rows))
         else:
             step = _trial_steps(move, grad - last_grad)
-        new_F, new_val, moved = _line_search(A, F, val, ref, grad, step)
-        rows = rows[moved]
-        if not rows.size:
-            break
-        new_F, new_val = new_F[moved], new_val[moved]
+        moved, new_F, new_val = _line_search(A, F, val, ref, grad, step)
+        if moved.size < rows.size:
+            if not moved.size:
+                break
+            rows, F, grad, weight, ref = (x[moved] for x in (rows, F, grad, weight, ref))
         frames[rows], values[rows] = new_F, new_val
-        move, last_grad = new_F - F[moved], grad[moved]
-        past = ETA * weight[moved]
+        move, last_grad = new_F - F, grad
+        past = ETA * weight
         weight = past + 1.0
-        ref = (past * ref[moved] + new_val) / weight
+        ref = (past * ref + new_val) / weight
         F, val = new_F, new_val
     best = int(np.argmin(values))
     return float(values[best]) * s * s, frames[best]

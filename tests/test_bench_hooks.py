@@ -44,6 +44,7 @@ def test_boundary_patches_trace_the_cli_and_restore(tmp_path, capsys):
         assert cli.load_case is not before[0]["load_case"]
         assert main(["null2", "--case", str(case)]) == 1
         assert main(["delta", "--r", "2", "--matrix", str(matrix), "--no-optimizer"]) == 0
+        assert main(["delta", "--r", "2", "--matrix", str(matrix)]) == 0
         assert main(["catalog", "--case", str(grid)]) == 0
         assert main(["catalog", "--kind", "hyperplane", "--n", "3"]) == 0
         assert main(["replay", "--n", "4"]) == 0
@@ -60,6 +61,7 @@ def test_boundary_patches_trace_the_cli_and_restore(tmp_path, capsys):
         "shape.curvature_report",
         "delta.invariant",
         "delta.null2",
+        "stiefel.minimize",
         "replay.replay_all",
         "derivation.build_algebra",
         "resultant.resultant",
@@ -69,6 +71,7 @@ def test_boundary_patches_trace_the_cli_and_restore(tmp_path, capsys):
         "poly.exact_div",
     } <= spans
     assert tracer.maxima["resultant.sylvester_dim_max"] == 15
+    assert tracer.stats["stiefel.restarts"] == 32
     for target, saved in zip(patched, before):
         now = vars(target)
         assert now.keys() == saved.keys()
