@@ -131,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rp.add_argument(
         "--keep-intermediates", action="store_true",
-        help="include derived/expected polynomial text in every checkpoint",
+        help="include derived/expected polynomial text in every checkpoint "
+             "(the text is built only when kept)",
     )
     _add_common(rp)
 

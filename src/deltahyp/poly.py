@@ -693,32 +693,6 @@ def residues(p: Polynomial) -> dict[tuple[int, ...], int] | None:
     return {e: c * inv % MODULUS for e, c in p.nums.items()}
 
 
-def dense_mod_p(
-    terms: Mapping[tuple[int, ...], int],
-    ring: PolynomialRing,
-    main: str,
-    values: Mapping[str, int],
-) -> list[int]:
-    """Dense coefficient list [c_0, ..., c_d] in ``main`` of residue ``terms``
-    (as from ``residues``), every other ring variable set to its residue in
-    ``values``; d is the degree of ``terms`` in ``main``, so c_d may be 0."""
-    i = ring.index(main)
-    # one table of powers mod P per other variable, up to its degree in terms
-    tables = []
-    for j, var in enumerate(ring.vars):
-        if j != i:
-            x, table = values[var] % MODULUS, [1]
-            for _ in range(max((exp[j] for exp in terms), default=0)):
-                table.append(table[-1] * x % MODULUS)
-            tables.append((j, table))
-    dense = [0] * (max((exp[i] for exp in terms), default=-1) + 1)
-    for exp, coeff in terms.items():
-        for j, table in tables:
-            coeff *= table[exp[j]]
-        dense[exp[i]] += coeff
-    return [c % MODULUS for c in dense]
-
-
 def _trim(coeffs: list[int]) -> list[int]:
     while coeffs and not coeffs[-1]:
         coeffs.pop()

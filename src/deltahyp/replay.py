@@ -48,11 +48,11 @@ from . import reference_forms as ref
 from .derivation import Derivation, DerivationAlgebra, ReplayConfig, build_algebra
 from .errors import CheckpointFailure, ExactDivisionError
 from .poly import (
+    MODULUS,
     Polynomial,
     PolynomialRing,
     RationalFunction,
     _from_image,
-    dense_mod_p,
     gcd_degree_mod_p,
     poly_gcd,
     residue,
@@ -86,7 +86,10 @@ class SideCondition:
 
 @dataclass
 class Checkpoint:
-    """Outcome of comparing one derived stage against its reference form."""
+    """Outcome of comparing one derived stage against its reference form.
+
+    ``derived`` and ``expected`` hold text only in a run that keeps
+    intermediates, the only report that prints them; otherwise they are None."""
 
     id: str
     status: str
@@ -114,28 +117,52 @@ class ContradictionCertificate:
     trace_from_pattern: Optional[str]
     consequence: Optional[str]
     conclusion: str
-    accepted_spectrum: dict[str, str] = field(default_factory=dict)
+    spectrum: tuple[Polynomial, ...] = ()
     identities: dict[str, bool] = field(default_factory=dict)
+
+    @property
+    def accepted_spectrum(self) -> dict[str, str]:
+        """The accepted spectrum as text, rendered on each read."""
+        names = ("lambda_1", "lambda_2", "lambda_3", "lambda_tail")
+        return {k: lam.render() for k, lam in zip(names, self.spectrum)}
 
 
 @dataclass
 class OmegaIdentityProof:
-    """Residues and derived quadratic relations for the connection quotients."""
+    """Residues and derived quadratic relations for the connection quotients;
+    ``residues`` and ``relations`` render their forms on each read."""
 
-    residues: dict[str, str]
-    relations: dict[str, str]
+    residue_forms: dict[str, RationalFunction]
+    relation_forms: dict[str, RationalFunction | Polynomial]
     checkpoints: list[Checkpoint]
+
+    @property
+    def residues(self) -> dict[str, str]:
+        return {k: form.render() for k, form in self.residue_forms.items()}
+
+    @property
+    def relations(self) -> dict[str, str]:
+        return {k: form.render() for k, form in self.relation_forms.items()}
 
 
 @dataclass
 class EliminantCertificate:
-    """Resultant certificate for one auxiliary-direction branch."""
+    """Resultant certificate for one auxiliary-direction branch; ``eliminant``
+    and ``pattern`` render their forms on each read."""
 
     label: str
-    eliminant: str
-    pattern: str
+    eliminant_form: Polynomial
+    pattern_form: Polynomial
     unit: Fraction
     side_conditions: list[SideCondition]
+
+    @property
+    def eliminant(self) -> str:
+        return self.eliminant_form.render()
+
+    @property
+    def pattern(self) -> str:
+        return self.pattern_form.render()
 
 
 @dataclass
@@ -369,10 +396,17 @@ class _Pipeline:
         self.side_conditions.append(SideCondition(prim, origin))
         return self.side_conditions[-1]
 
-    def _checkpoint(
-        self, tag: str, status: str, derived: Optional[str], expected: Optional[str], note: str
-    ) -> None:
-        """Append one checkpoint to the ledger; the only place one is built."""
+    def _checkpoint(self, tag: str, status: str, derived, expected, note: str) -> None:
+        """Append one checkpoint to the ledger; the only place one is built.
+
+        ``derived`` and ``expected`` are text, None or forms with ``render``.
+        Forms are rendered only when the report keeps intermediates, the only
+        output that prints them; one form passed as both renders once."""
+        if self.cfg.keep_intermediates:
+            text = _text(derived)
+            derived, expected = text, text if expected is derived else _text(expected)
+        else:
+            derived = expected = None
         self.checkpoints.append(Checkpoint(tag, status, derived, expected, note))
 
     def _checkpoint_compare(
@@ -399,7 +433,7 @@ class _Pipeline:
                 f"difference (primitive comparison) = {diff.render()}"
             )
             note = f"{note} {mismatch}" if note else mismatch
-        self._checkpoint(tag, status, derived.render(), expected.render(), note)
+        self._checkpoint(tag, status, derived, expected, note)
         return status
 
     def _support_checkpoint(
@@ -421,14 +455,18 @@ class _Pipeline:
             degree is None or max(i + j for i, j, _ in support) == degree
         )):
             self._fail(f"checkpoint {tag}: structural requirement failed: {why}")
-        self._checkpoint(tag, STRUCTURAL, poly.render(), None, why)
+        self._checkpoint(tag, STRUCTURAL, poly, None, why)
 
     def _unit(self, poly: Polynomial, divisor: Polynomial, what: str) -> Fraction:
         """The nonzero rational u with poly = u * divisor; halt if there is none."""
-        why = f"{what} is not a nonzero constant times {divisor.render()}"
-        quotient = self._exact_div(poly, divisor, why)
-        if quotient.total_degree() != 0:  # -1 for a zero quotient
-            self._fail(f"{why}: quotient {quotient.render()}")
+        try:
+            quotient = poly.exact_div(divisor)
+            # total degree -1 for a zero quotient
+            failure = quotient.total_degree() and f"quotient {quotient.render()}"
+        except ExactDivisionError as exc:
+            failure = str(exc)
+        if failure:
+            self._fail(f"{what} is not a nonzero constant times {divisor.render()}: {failure}")
         return quotient.leading_coefficient()
 
     def _form_part(self, poly: Polynomial) -> Polynomial:
@@ -467,12 +505,10 @@ class _Pipeline:
                 "multiplicity one only occurs when n = 4"
             )
             note = "degenerate branch vacuous for n >= 5"
-        cert = ContradictionCertificate(n, n != 4, *traces, conclusion)
         # Accepted branch: the spectrum used by the rest of the pipeline,
         # with its two exact consistency identities.
+        cert = ContradictionCertificate(n, n != 4, *traces, conclusion, self.alg.spectrum)
         *first_three, lam_tail = self.alg.spectrum
-        names = ("lambda_1", "lambda_2", "lambda_3", "lambda_tail")
-        cert.accepted_spectrum = {k: lam.render() for k, lam in zip(names, self.alg.spectrum)}
         cert.identities = {
             "trace_equals_nH": (sum(first_three) + (n - 3) * lam_tail - n * self.H).is_zero(),
             "first_three_sum": (sum(first_three) - lam_tail).is_zero(),
@@ -530,10 +566,8 @@ class _Pipeline:
             "3.43": rf(-(w * v) - lam_tail * lam3) - 2 * p_3j2_j23,
             "3.44": rf(-(v * u) - lam2 * lam3) - 2 * Fraction(n - 3) * p_23_3j2,
         }
-        relations: dict[str, str] = {}
         for tag, source in (("3.42", "3.34"), ("3.43", "3.35"), ("3.44", "3.36")):
-            relations[tag] = derived[tag].render()
-            self._checkpoint(tag, EXACT, relations[tag], relations[tag],
+            self._checkpoint(tag, EXACT, derived[tag], derived[tag],
                              f"two-product form coincides with {source} modulo the "
                              "verified pairwise residue")
 
@@ -556,10 +590,9 @@ class _Pipeline:
                 "exactly."
             ),
         )
-        relations["3.45"] = product_rel.render()
         return OmegaIdentityProof(
-            residues={k: val.render() for k, val in residues.items()},
-            relations=relations,
+            residue_forms=residues,
+            relation_forms={**derived, "3.45": product_rel},
             checkpoints=self._stage_checkpoints(),
         )
 
@@ -590,12 +623,12 @@ class _Pipeline:
         self._add_side_condition(lam3 - lam2, "3.18")
         pair_cert = EliminantCertificate(
             label="pair-directions",
-            eliminant=elim.render(),
-            pattern=pattern.render(),
+            eliminant_form=elim,
+            pattern_form=pattern,
             unit=unit_pair,
             side_conditions=q_pair,
         )
-        self._checkpoint("3.22", UP_TO_UNIT, pair_cert.eliminant, pair_cert.pattern,
+        self._checkpoint("3.22", UP_TO_UNIT, elim, pattern,
                          f"eliminant equals the reference pattern times the unit {unit_pair}")
 
         # Tail branch: differentiate the balanced quotient relation along a
@@ -642,12 +675,12 @@ class _Pipeline:
         self._add_side_condition(lam2 + lam3, "3.22")
         tail_cert = EliminantCertificate(
             label="tail-directions",
-            eliminant=coeff.render(),
-            pattern=self.H.render(),
+            eliminant_form=coeff,
+            pattern_form=self.H,
             unit=unit_tail,
             side_conditions=tail_conditions,
         )
-        self._checkpoint("3.24", UP_TO_UNIT, tail_cert.eliminant, tail_cert.pattern,
+        self._checkpoint("3.24", UP_TO_UNIT, coeff, self.H,
                          f"stationary bracket: coefficient equals H times the unit {unit_tail}")
         return Lemma32Certificates(pair_cert, tail_cert, self._stage_checkpoints())
 
@@ -996,10 +1029,24 @@ class _Pipeline:
 
         A point (H0, a0) is admissible when both curves keep their beta-degree
         there.  Each point is first decided modulo the prime P = 2^61 - 1
-        (``poly.MODULUS``).  It is settled there only when both beta-leading
-        coefficients and the resultant's value r0 are nonzero mod P, and the
-        gcd of the specialized curves over GF(P) has degree 0.  Such a point
-        is admissible and consistent:
+        (``poly.MODULUS``), at one variable.  The curves and the resultant are
+        weighted-homogeneous for H:1, beta:1, a:2, of weights D (checked by
+        ``_t_image``, never assumed).  Put beta = H0*b and t = a0/H0^2
+        (t = 1/H0^2 with a numeric type constant, on the ``_unfold``ed
+        curves): each term c*H0^i beta^j a0^k of weight i + j + 2k = D becomes
+        H0^D * c*b^j t^k, so
+            c(H0, H0*b, a0) = H0^D * c(1, b, t),   res(H0, a0) = H0^D * R1(t).
+        H0 is a unit mod P, and beta -> H0*b is an automorphism of GF(P)[beta].
+        So each beta-leading coefficient, and r0 = res(H0, a0), is nonzero mod
+        P at t exactly when it is at (H0, a0), and the gcd of the curves mod P
+        has the same degree in b as in beta.  ``_t_image`` reduces c9, c12
+        and res itself (R1 is read back from the reported polynomial) once to
+        residue lists in t, one per power of beta; a point then costs a few
+        Horner passes and ``gcd_degree_mod_p``.
+
+        A point is settled mod P only when both beta-leading coefficients and
+        r0 are nonzero mod P, and the gcd of the specialized curves over GF(P)
+        has degree 0.  Such a point is admissible and consistent:
 
         - The specialized curves f, g have coefficients in the local ring
           Z_(P) (no denominator is a multiple of P), and reducing them mod P
@@ -1015,14 +1062,16 @@ class _Pipeline:
         - r0 nonzero mod P proves r0 nonzero, so both statuses are False.
 
         Every other point (a leading coefficient, r0 or the gcd degree reads
-        0 mod P; or P divides a denominator of c9, c12 or res, which sends
-        every point here) takes the exact path: ``Fraction`` substitution,
-        the degree tests and ``poly_gcd`` over Q, compared with the
-        resultant's exact zero status.  The random draws do not depend on
+        0 mod P; or one of c9, c12 and res has no image in t, because it is
+        not weighted-homogeneous or P divides a denominator, which sends every
+        point here) takes the exact path at (H0, a0): ``Fraction``
+        substitution, the degree tests and ``poly_gcd`` over Q, compared with
+        the resultant's exact zero status.  The random draws do not depend on
         the path, so both paths visit the same points.
         """
-        rng = random.Random(1_000_003 * self.n + (0 if self.cfg.a_mode == "symbolic" else 1))
-        images = [residues(p) for p in (c9, c12, res)]
+        numeric = self.cfg.a_mode == "numeric"
+        rng = random.Random(1_000_003 * self.n + int(numeric))
+        images = [_t_image(p, numeric) for p in (c9, c12, res)]
         modular = all(image is not None for image in images)
         checked = 0
         attempts = 0
@@ -1030,7 +1079,8 @@ class _Pipeline:
             attempts += 1
             H0 = Fraction(rng.randint(1, 60), rng.randint(1, 13))
             a0 = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
-            if modular and _settled_mod_p(images, H0, a0):
+            # the denominator of t divides 9 * 60^2, so its residue exists
+            if modular and _settled_mod_p(images, residue((1 if numeric else a0) / H0**2)):
                 checked += 1
                 continue
             s9 = c9.substitute("H", H0).substitute("a", a0)
@@ -1061,11 +1111,48 @@ class _Pipeline:
         )
 
 
-def _settled_mod_p(images: list[dict], H0: Fraction, a0: Fraction) -> bool:
-    """True when the residue images of (c9, c12, res) at (H0, a0) keep both
+def _text(form) -> Optional[str]:
+    """``form`` rendered, unless it is already text or None."""
+    return form if form is None or isinstance(form, str) else form.render()
+
+
+def _t_image(p: Polynomial, numeric: bool) -> Optional[list[list[int]]]:
+    """Residue coefficient lists of p(1, beta, t), one per power of beta up to
+    p's beta-degree, each dense in t (constant terms first).
+
+    None when p is zero, when MODULUS divides its denominator, or when p is
+    not weighted-homogeneous for H:1, beta:1, a:2.  With a numeric type
+    constant p must be free of a; it is unfolded as ``_Pipeline._unfold``
+    does, and a term whose (H, beta)-degree has the wrong parity leaves it
+    inhomogeneous.  The weight fixes the power of H of each (beta, t) slot,
+    so no two terms share one."""
+    image = residues(p)
+    if not image or (numeric and any(k for _, _, k in image)):
+        return None
+    if numeric:
+        top = max(h + b for h, b, _ in image)
+        image = {(h, b, (top - h - b) // 2): c for (h, b, _), c in image.items()}
+    if len({h + b + 2 * k for h, b, k in image}) != 1:
+        return None
+    dense = [[0] * (1 + max(k for _, _, k in image))
+             for _ in range(1 + max(b for _, b, _ in image))]
+    for (_, b, k), c in image.items():
+        dense[b][k] = c
+    return dense
+
+
+def _horner(coeffs: list[int], t: int) -> int:
+    """The residue list ``coeffs`` (constant term first) at t, mod MODULUS."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value * t + c) % MODULUS
+    return value
+
+
+def _settled_mod_p(images: list[list[list[int]]], t: int) -> bool:
+    """True when the t-images of (c9, c12, res) at the residue t keep both
     beta-leading coefficients, give a nonzero r0 and coprime curves mod P."""
-    point = {"H": residue(H0), "a": residue(a0)}  # sample denominators are below 14
-    s9, s12, r0 = (dense_mod_p(image, _CURVE_RING, "beta", point) for image in images)
+    s9, s12, r0 = ([_horner(coeffs, t) for coeffs in image] for image in images)
     return bool(s9[-1] and s12[-1] and any(r0)) and gcd_degree_mod_p(s9, s12) == 0
 
 

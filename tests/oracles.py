@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from deltahyp.poly import MODULUS
+
 
 def det_cofactor(matrix):
     """Naive cofactor expansion; exponential, intended as a test oracle (dim <= 8)."""
@@ -21,6 +23,31 @@ def det_cofactor(matrix):
         term = entry * sub
         total = total + (term if j % 2 == 0 else -term)
     return total
+
+
+# The spot check's residue evaluation at both variables (H0, a0), kept as the
+# oracle of the one-variable images in ``deltahyp.replay`` (t = a0/H0^2).
+
+
+def dense_mod_p(terms: dict, ring, main: str, values: dict) -> list[int]:
+    """Dense coefficient list [c_0, ..., c_d] in ``main`` of residue ``terms``
+    (as from ``residues``), every other ring variable set to its residue in
+    ``values``; d is the degree of ``terms`` in ``main``, so c_d may be 0."""
+    i = ring.index(main)
+    # one table of powers mod P per other variable, up to its degree in terms
+    tables = []
+    for j, var in enumerate(ring.vars):
+        if j != i:
+            x, table = values[var] % MODULUS, [1]
+            for _ in range(max((exp[j] for exp in terms), default=0)):
+                table.append(table[-1] * x % MODULUS)
+            tables.append((j, table))
+    dense = [0] * (max((exp[i] for exp in terms), default=-1) + 1)
+    for exp, coeff in terms.items():
+        for j, table in tables:
+            coeff *= table[exp[j]]
+        dense[exp[i]] += coeff
+    return [c % MODULUS for c in dense]
 
 
 # The Stiefel optimizer's batched loop as BENCH_nonmonotone_search.json

@@ -48,6 +48,9 @@ def test_boundary_patches_trace_the_cli_and_restore(tmp_path, capsys):
         assert main(["catalog", "--case", str(grid)]) == 0
         assert main(["catalog", "--kind", "hyperplane", "--n", "3"]) == 0
         assert main(["replay", "--n", "4"]) == 0
+        # the kept checkpoint text reduces the connection-quotient relations,
+        # the replay's calls of poly_gcd when every sample point settles mod P
+        assert main(["replay", "--n", "4", "--keep-intermediates"]) == 0
     capsys.readouterr()
 
     spans = {span[tracer_module.NAME] for span in tracer.spans}

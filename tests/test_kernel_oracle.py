@@ -13,6 +13,7 @@ same two curves exactly, and each other sign branch's verdict must follow
 from sympy's resultant of that branch's curves.
 """
 
+import functools
 import operator
 from fractions import Fraction
 
@@ -31,8 +32,11 @@ from deltahyp import (  # noqa: E402
     replay_all,
 )
 from deltahyp import poly as poly_module  # noqa: E402
+from deltahyp import replay as replay_module  # noqa: E402
 from deltahyp.errors import DegreeError, ExactDivisionError  # noqa: E402
 from deltahyp.resultant import resultant  # noqa: E402
+
+from oracles import dense_mod_p  # noqa: E402
 
 RING = PolynomialRing(("x", "y", "z"))
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
@@ -232,7 +236,7 @@ def test_gcd_degree_mod_p_bounds_the_exact_degree(a, b, c, shared):
     # the spot check's soundness: with both leading coefficients nonzero
     # mod P, a common factor over Q survives mod P with its degree
     f, g = (a * c, b * c) if shared else (a, b)
-    dense = [poly_module.dense_mod_p(poly_module.residues(p), UNIVARIATE, "x", {})
+    dense = [dense_mod_p(poly_module.residues(p), UNIVARIATE, "x", {})
              for p in (f, g)]
     degree = poly_module.gcd_degree_mod_p(*dense)
     if any(map(any, dense)):
@@ -251,6 +255,73 @@ def test_residues_reject_a_denominator_divisible_by_p():
     assert poly_module.residues(x * P - 1) == {(1,): 0, (0,): P - 1}
     assert poly_module.residue(Fraction(1, 2)) * 2 % P == 1
     assert poly_module.residues(x * Fraction(1, P) + 1) is None
+
+
+@functools.lru_cache(maxsize=None)
+def replayed_curves(n, a_value):
+    """(c9, c12, res) of the replay at n; a numeric type constant unless None."""
+    if a_value is None:
+        report = replay_all(ReplayConfig(n=n))
+    else:
+        report = replay_all(ReplayConfig(n=n, a_mode="numeric", a_value=a_value))
+    return report.curve9, report.curve12, report.final_resultant
+
+
+def settled_two_variable(dense9, dense12, r0):
+    """The spot check's decision on dense residue lists in beta."""
+    return bool(dense9[-1] and dense12[-1] and any(r0)) and (
+        poly_module.gcd_degree_mod_p(dense9, dense12) == 0
+    )
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.integers(4, 16),
+    st.sampled_from([None, Fraction(1), Fraction(3, 2), Fraction(-2, 3), Fraction(0)]),
+    # the spot check's ranges for H0 and a0
+    st.builds(Fraction, st.integers(1, 60), st.integers(1, 13)),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9)),
+)
+def test_spotcheck_at_t_is_the_two_variable_check(n, a_value, H0, a0):
+    # c(H0, H0*b, a0) = H0^D c(1, b, t) with t = a0/H0^2 (1/H0^2 with a numeric
+    # type constant): each beta^j coefficient at t is the one at (H0, a0)
+    # times H0^(j - D), and the decision mod P is the same
+    numeric = a_value is not None
+    curves = replayed_curves(n, a_value)
+    ring = replay_module._CURVE_RING
+    t = poly_module.residue((1 if numeric else a0) / H0**2)
+    h0 = poly_module.residue(H0)
+    point = {"H": h0, "a": poly_module.residue(a0)}
+    images, at_t, at_point = [], [], []
+    for p in curves:
+        weight = max(h + b + 2 * k for h, b, k in p.terms)
+        image = replay_module._t_image(p, numeric)
+        dense = dense_mod_p(poly_module.residues(p), ring, "beta", point)
+        images.append(image)
+        at_t.append([replay_module._horner(coeffs, t) for coeffs in image])
+        at_point.append(dense)
+        assert at_t[-1] == [c * pow(h0, j - weight, P) % P for j, c in enumerate(dense)]
+    assert replay_module._settled_mod_p(images, t) == settled_two_variable(*at_point)
+    assert settled_two_variable(*at_t) == settled_two_variable(*at_point)
+
+
+def test_t_image_needs_a_weighted_homogeneous_form_and_no_p_denominator():
+    ring = replay_module._CURVE_RING
+    H, beta, a = (ring.var(v) for v in ("H", "beta", "a"))
+    image = replay_module._t_image
+    # weight 3: H^3 -> 1 at beta^0, a*beta -> t at beta^1, H*beta^2 -> 1 at beta^2;
+    # one list in t per power of beta, all as long as the largest power of t
+    assert image(H**3 + 2 * a * beta - H * beta**2, False) == [[1, 0], [0, 2], [P - 1, 0]]
+    # numeric: the a-free form unfolds to weight 3, 5*beta to 5*beta*a -> 5*t
+    assert image(H**2 * beta + 5 * beta, True) == [[0, 0], [1, 5]]
+    for form, numeric in (
+        (H**2 + a * H, False),  # weights 2 and 3
+        (H * beta + beta, True),  # (H, beta)-degrees 2 and 1: mixed parity
+        (H * a, True),  # numeric forms are free of a
+        (beta * Fraction(1, P) + H, False),  # P divides the denominator
+        (ring.zero(), False),
+    ):
+        assert image(form, numeric) is None
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

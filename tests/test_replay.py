@@ -34,7 +34,7 @@ from deltahyp import (
 from deltahyp import reference_forms
 from deltahyp.cli import main
 from deltahyp import replay as replay_module
-from deltahyp.poly import MODULUS
+from deltahyp.poly import MODULUS, residue
 from deltahyp.resultant import det_bareiss, resultant, resultant_is_zero, sylvester_matrix
 from deltahyp.replay import (
     BRANCH_FIRST_PRINCIPLES,
@@ -64,6 +64,13 @@ def report5():
 @pytest.fixture(scope="module")
 def report6num():
     return replay_all(ReplayConfig(n=6, a_mode="numeric", a_value=Fraction(1)))
+
+
+@pytest.fixture(scope="module")
+def report6num_keep():
+    return replay_all(
+        ReplayConfig(n=6, a_mode="numeric", a_value=Fraction(1), keep_intermediates=True)
+    )
 
 
 def checkpoint_map(report):
@@ -154,7 +161,9 @@ class TestOmegaIdentities:
             return reduced(self)
 
         monkeypatch.setattr(RationalFunction, "reduced", counting_reduced)
-        verify_omega_identities(ReplayConfig(n=n))
+        proof = verify_omega_identities(ReplayConfig(n=n))
+        assert calls == []  # nothing is rendered until the text is read
+        assert len(proof.residues) == 4 and len(proof.relations) == 4
         assert len(calls) == 7  # four residues, three two-product relations
 
 
@@ -407,6 +416,7 @@ class TestGoldenReports:
             ("report4", "replay_n4_symbolic_keep.json"),
             ("report5", "replay_n5_symbolic.json"),
             ("report6num", "replay_n6_numeric_a1.json"),
+            ("report6num_keep", "replay_n6_numeric_a1_keep.json"),
         ],
     )
     def test_byte_identical_to_golden(self, request, fixture_name, filename):
@@ -449,6 +459,29 @@ class TestGoldenReports:
         cp_without = {c["id"]: c for c in without["checkpoints"]}
         assert "derived" in cp_with["3.54"]
         assert "derived" not in cp_without["3.54"]
+
+    def test_renders_only_what_the_report_prints(self, monkeypatch, capsys):
+        # checkpoint and certificate text is built only when it is printed:
+        # without --keep-intermediates the JSON report prints the side
+        # conditions, the curves and the resultant, the other branch's curves,
+        # its master equation in the notes and one difference per flagged note
+        rendered = []
+        render = replay_module.Polynomial.render
+
+        def recording_render(poly):
+            rendered.append(render(poly))
+            return rendered[-1]
+
+        monkeypatch.setattr(replay_module.Polynomial, "render", recording_render)
+        assert main(["replay", "--n", "8"]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        printed = (
+            len(doc["side_conditions"]) + 3 + 2 * len(doc["branches"]) + 1
+            + sum(cp["status"] == FLAGGED for cp in doc["checkpoints"])
+        )
+        assert len(rendered) <= printed
+        assert all(text in out for text in rendered)
 
 
 class TestFailureModes:
@@ -578,15 +611,19 @@ class TestFailureModes:
 
 CURVE_RING = replay_module._CURVE_RING
 _H, _BETA, _A = (CURVE_RING.var(v) for v in ("H", "beta", "a"))
-# (c9, c12) pairs whose points no check mod P can settle
+# (c9, c12) pairs, weighted-homogeneous for H:1, beta:1, a:2, whose points no
+# check mod P can settle
 FORCED_FALLBACKS = {
     # the leading coefficient in beta is a multiple of P
     "leading-coefficient": (MODULUS * _BETA**2 + _H * _BETA - _A, _BETA - _H),
     # coprime over Q, yet beta = H is a shared root mod P
-    "unlucky-prime": (_BETA - _H, _BETA - _H + MODULUS),
+    "unlucky-prime": (_BETA - _H, _BETA - _H + MODULUS * _H),
     # P divides a denominator: every point takes the exact path
     "denominator": (_BETA**2 * Fraction(1, MODULUS) - _A, _BETA + _H),
 }
+# The first point drawn at n = 4 is (H, a) = (20, 38/9), where t = a/H^2 = 19/1800
+# and this weight-2 form vanishes; it is nonzero at the other points drawn.
+FIRST_POINT_FORM = 1800 * _A - 19 * _H**2
 
 
 class TestFinalResultantKernel:
@@ -747,25 +784,55 @@ class TestSpotcheck:
 
     @pytest.mark.parametrize(
         "c9, c12",
-        [((_H - 20) * _BETA + 1, _BETA**2 - _H), (_BETA**2 - _H, (_H - 20) * _BETA + 1)],
+        [
+            (FIRST_POINT_FORM * _BETA + _H**3, _BETA**2 - _A),
+            (_BETA**2 - _A, FIRST_POINT_FORM * _BETA + _H**3),
+        ],
         ids=["c9-loses-its-beta-degree", "c12-loses-its-beta-degree"],
     )
     def test_inadmissible_point_is_skipped(self, monkeypatch, c9, c12):
-        # the first point drawn at n = 4 is H = 20, where (H - 20)*beta + 1
-        # loses its beta-degree
+        # at the first point drawn, the beta-leading coefficient of the first
+        # curve vanishes: mod P it is not settled, and the exact path skips it
         settled = []
         inner = replay_module._settled_mod_p
 
-        def counting_settled(images, H0, a0):
-            settled.append(H0)
-            return inner(images, H0, a0)
+        def counting_settled(images, t):
+            settled.append(t)
+            return inner(images, t)
 
         monkeypatch.setattr(replay_module, "_settled_mod_p", counting_settled)
         calls = self.count_exact_gcds(monkeypatch)
         note = self.spotcheck(c9, c12, resultant(c9, c12, "beta"))
         assert note.startswith("specialization cross-check: 20 sample points consistent")
-        assert settled[0] == 20 and len(settled) == 21
+        assert settled[0] == residue(Fraction(19, 1800)) and len(settled) == 21
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "c12, tampered, status",
+        [
+            # the curves share the root beta = H at the first point, where their
+            # resultant FIRST_POINT_FORM vanishes; the tampered one does not
+            (_BETA**2 - _H**2 + FIRST_POINT_FORM, FIRST_POINT_FORM + _H**2,
+             "shared-root status True vs resultant-zero status False"),
+            (_BETA**2 - _H**2 + FIRST_POINT_FORM, 1800 * _A * _H - 19 * _H**2,
+             "shared-root status True vs resultant-zero status False"),
+            # coprime curves at the first point, where the tampered resultant
+            # vanishes: r0 is read from the reported res, never from the curves
+            (_BETA**2 + FIRST_POINT_FORM, FIRST_POINT_FORM,
+             "shared-root status False vs resultant-zero status True"),
+        ],
+        ids=["coefficient-off-by-one", "term-off-its-weight", "off-by-one-to-zero"],
+    )
+    def test_tampered_resultant_fails(self, c12, tampered, status):
+        c9 = _BETA - _H
+        res = resultant(c9, c12, "beta")
+        assert res == c12.substitute("beta", _H)  # c9 is monic and linear
+        assert self.spotcheck(c9, c12, res).startswith(
+            "specialization cross-check: 20 sample points consistent"
+        )
+        assert self.spotcheck(c9, c12, tampered) == (
+            f"specialization cross-check failed at H=20, a=38/9: {status}"
+        )
 
     def test_zero_resultant_fails(self, report4):
         with pytest.raises(CheckpointFailure, match="resultant-zero status True"):
