@@ -1,23 +1,41 @@
 """Exact-arithmetic sparse multivariate polynomials and rational functions.
 
 The ring fixes an ordered tuple of variable names.  A polynomial stores its
-integer image: one denominator ``den > 0`` over a map ``nums`` from exponent
-vectors (tuples of non-negative ints, one slot per ring variable) to nonzero
-``int`` numerators, with gcd(den, *nums) = 1; zero is (1, {}).  The form is
-canonical, so ``==`` and ``hash`` read it directly.  ``terms`` is a view built
-on each read, ``{exp: Fraction(num, den)}``.  The canonical term order is
-graded lexicographic: higher total degree first, ties broken by the exponent
-vector compared left to right (earlier ring variables are stronger).
-Canonical text renders terms in descending order, e.g. ``-1/2*w212*E + 44*H^3``.
+integer image: one denominator ``den > 0`` over a map ``packed`` from packed
+exponent keys to nonzero ``int`` numerators, with gcd(den, *numerators) = 1;
+zero is (1, {}).  The form is canonical, so ``==`` and ``hash`` read it
+directly.  The canonical term order is graded lexicographic: higher total
+degree first, ties broken by the exponent vector compared left to right
+(earlier ring variables are stronger).  Canonical text renders terms in
+descending order, e.g. ``-1/2*w212*E + 44*H^3``.
+
+Packed keys.  In a ring of k variables an exponent vector (e_0, ..., e_{k-1})
+with total degree d is the one ``int``
+    d << W*k | e_0 << W*(k-1) | ... | e_{k-1},      W = ``_FIELD`` = 16,
+so integer order is graded lexicographic order: ``max`` of the keys is the
+leading term and the keys sorted in reverse are the render order.  Every
+exponent, and so every total degree, stays below ``EXPONENT_BOUND`` =
+2^(W-1): the top bit of each field, its guard bit, is clear in every key.
+Then a product of monomials is the sum of their keys (no field carries into
+the next), and a quotient of monomials is the difference of their keys,
+which is a monomial exactly when it sets no guard bit: a field that would go
+negative borrows and sets its own, and a negative difference sets the
+degree field's.  An operation whose result would reach the bound raises
+``DegreeError``; it checks once, from the result's leading key, whose top
+field is the total degree.  ``PolynomialRing.pack`` and ``unpack`` convert
+between keys and exponent tuples.  ``nums`` (``{exp: num}``) and ``terms``
+(``{exp: Fraction(num, den)}``) are read-only views keyed by exponent
+tuples, built on each read.
 
 The arithmetic runs on the image: sums put both sides over the lcm of their
 denominators, the inner loops of products and exact quotients multiply, add
 and divide ``int``s, and ``_from_image`` reduces each result with one gcd.
 A one-term operand takes a shorter path: a product by a monomial shifts the
-other side's exponents, so no two products meet and nothing accumulates, and
-an exact quotient by a monomial shifts them back, in one pass over the terms
-(a negative exponent is a nonzero remainder).  Operations compare rings by
-identity before they compare variable names.  ``Polynomial`` validates ``Fraction`` input and clears it once (``_cleared``).
+other side's keys, so no two products meet and nothing accumulates, and an
+exact quotient by a monomial shifts them back, in one pass over the terms
+(a guard bit is a nonzero remainder).  Operations compare rings by identity
+before they compare variable names.  ``Polynomial`` validates ``Fraction``
+input and clears it once (``_cleared``).
 
 Everything here is immutable after construction and safe to share.
 """
@@ -40,11 +58,21 @@ from .errors import (
 
 _VAR_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 
+_FIELD = 16  # bits per field of a packed exponent key
+_MASK = (1 << _FIELD) - 1
+EXPONENT_BOUND = 1 << (_FIELD - 1)  # every exponent and total degree stays below it
+
 
 class PolynomialRing:
-    """An ordered universe of variable names over the rationals."""
+    """An ordered universe of variable names over the rationals.
 
-    __slots__ = ("vars", "_index")
+    It fixes the packed keys of its polynomials (module docstring):
+    ``_shifts`` holds each variable's field position, ``_units`` its key,
+    ``_guard`` the guard bits, and a key at or above ``_limit`` has reached
+    the bound.
+    """
+
+    __slots__ = ("vars", "_index", "_shifts", "_units", "_limit", "_guard")
 
     def __init__(self, variables: Sequence[str]):
         names = tuple(variables)
@@ -55,6 +83,13 @@ class PolynomialRing:
                 raise ValueError(f"invalid variable name: {name!r}")
         object.__setattr__(self, "vars", names)
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(names)})
+        top = _FIELD * len(names)  # the total degree's field
+        shifts = tuple(range(top - _FIELD, -1, -_FIELD))
+        object.__setattr__(self, "_shifts", shifts)
+        object.__setattr__(self, "_units", tuple((1 << top) | (1 << s) for s in shifts))
+        object.__setattr__(self, "_limit", EXPONENT_BOUND << top)
+        guard = sum(EXPONENT_BOUND << s for s in range(0, top + 1, _FIELD))
+        object.__setattr__(self, "_guard", guard)
 
     def __setattr__(self, *_):  # pragma: no cover - guard
         raise AttributeError("PolynomialRing is immutable")
@@ -74,30 +109,44 @@ class PolynomialRing:
         except KeyError:
             raise UnknownVariableError(f"{var!r} is not in ring {self.vars}") from None
 
+    def pack(self, exp: Sequence[int]) -> int:
+        """The key of an exponent vector; DegreeError at the bound."""
+        if len(exp) != len(self.vars) or min(exp, default=0) < 0:
+            raise ValueError(f"exponent vector {exp} does not fit ring {self.vars}")
+        if sum(exp) >= EXPONENT_BOUND:
+            raise DegreeError(f"total degree {sum(exp)} reaches the bound {EXPONENT_BOUND}")
+        return sum(map(operator.mul, exp, self._units))
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        """The exponent vector of a key."""
+        return tuple([(key >> s) & _MASK for s in self._shifts])
+
     def zero(self) -> "Polynomial":
         return _from_image(self, 1, {})
 
     def one(self) -> "Polynomial":
-        return _from_image(self, 1, {(0,) * len(self.vars): 1})
+        return _from_image(self, 1, {0: 1})
 
     def const(self, value) -> "Polynomial":
         return Polynomial(self, {(0,) * len(self.vars): value})
 
     def var(self, name: str) -> "Polynomial":
-        exp = [0] * len(self.vars)
-        exp[self.index(name)] = 1
-        return _from_image(self, 1, {tuple(exp): 1})
+        return _from_image(self, 1, {self._units[self.index(name)]: 1})
 
     def parse(self, text: str) -> "Polynomial":
         return parse_polynomial(self, text)
 
 
-def _grlex_key(exp: tuple[int, ...]) -> tuple:
-    return (sum(exp), exp)
+def _checked(ring: PolynomialRing, top: int) -> None:
+    """Raise DegreeError when ``top``, a result's leading key, reached the bound."""
+    if top >= ring._limit:
+        raise DegreeError(
+            f"total degree {top >> _FIELD * len(ring.vars)} reaches the bound {EXPONENT_BOUND}"
+        )
 
 
-def _cleared(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[int, dict]:
-    """(D, {exp: c * D}) with D the lcm of the coefficients' denominators."""
+def _cleared(terms: Mapping) -> tuple[int, dict]:
+    """(D, {key: c * D}) with D the lcm of the ``Fraction`` values' denominators."""
     den = math.lcm(*[c.denominator for c in terms.values()])
     return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
 
@@ -111,11 +160,11 @@ def _ratio(value) -> tuple[int, int]:
 def _signed_content(p: "Polynomial") -> tuple[int, dict]:
     """(g, B) with the numerators of a nonzero ``p`` equal to g * B: g their gcd
     signed as the leading one, B primitive with a positive leading coefficient."""
-    nums = p.nums
-    g = math.gcd(*nums.values())
-    if nums[max(nums, key=_grlex_key)] < 0:
+    packed = p.packed
+    g = math.gcd(*packed.values())
+    if packed[max(packed)] < 0:
         g = -g
-    return g, {e: c // g for e, c in nums.items()}
+    return g, {e: c // g for e, c in packed.items()}
 
 
 def fraction_text(q: Fraction | int) -> str:
@@ -138,44 +187,49 @@ def _digits(k: int) -> str:
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("ring", "den", "nums")
+    __slots__ = ("ring", "den", "packed")
 
     def __init__(self, ring: PolynomialRing, terms: Mapping[tuple[int, ...], Fraction]):
         clean = {}
-        width = len(ring.vars)
         for exp, coeff in terms.items():
-            if len(exp) != width:
-                raise ValueError(f"exponent vector {exp} does not fit ring {ring.vars}")
+            key = ring.pack(exp)
             if type(coeff) is not Fraction:
                 coeff = Fraction(coeff)
             if coeff:
-                clean[tuple(exp)] = coeff
+                clean[key] = coeff
         # reduced coefficients over the lcm of their denominators share no factor
-        den, nums = _cleared(clean)
+        den, packed = _cleared(clean)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "packed", packed)
 
     def __setattr__(self, *_):  # pragma: no cover - guard
         raise AttributeError("Polynomial is immutable")
 
     @property
+    def nums(self) -> dict[tuple[int, ...], int]:
+        """The numerators by exponent vector, built on each read."""
+        unpack = self.ring.unpack
+        return {unpack(k): c for k, c in self.packed.items()}
+
+    @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
-        """The coefficients as ``Fraction``s, built on each read."""
-        return {e: Fraction(c, self.den) for e, c in self.nums.items()}
+        """The coefficients as ``Fraction``s by exponent vector, built on each read."""
+        unpack, den = self.ring.unpack, self.den
+        return {unpack(k): Fraction(c, den) for k, c in self.packed.items()}
 
     # -- basic predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.nums
+        return not self.packed
 
     def is_constant(self) -> bool:
-        return all(sum(exp) == 0 for exp in self.nums)
+        return not any(self.packed)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return Fraction(next(iter(self.nums.values()), 0), self.den)
+        return Fraction(self.packed.get(0, 0), self.den)
 
     # -- ring arithmetic ----------------------------------------------------
 
@@ -190,19 +244,19 @@ class Polynomial:
         self._check(other)
         den = math.lcm(self.den, other.den)
         m1, m2 = den // self.den, den // other.den
-        out = {e: c * m1 for e, c in self.nums.items()}
-        for exp, coeff in other.nums.items():
+        out = {e: c * m1 for e, c in self.packed.items()}
+        for key, coeff in other.packed.items():
             coeff *= m2
-            if exp in out:
-                coeff += out[exp]
+            if key in out:
+                coeff += out[key]
                 if not coeff:
-                    del out[exp]
+                    del out[key]
                     continue
-            out[exp] = coeff
+            out[key] = coeff
         return _from_image(self.ring, den, out)
 
     def __neg__(self):
-        return _from_image(self.ring, self.den, {e: -c for e, c in self.nums.items()})
+        return _from_image(self.ring, self.den, {e: -c for e, c in self.packed.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -212,20 +266,23 @@ class Polynomial:
             return self.scale(other)
         self._check(other)
         den = self.den * other.den
-        add = operator.add
-        # a one-term factor shifts the other's exponents: no two products meet
-        if len(other.nums) == 1 or len(self.nums) == 1:
-            many, one = (self, other) if len(other.nums) == 1 else (other, self)
-            ((e2, c2),) = one.nums.items()
-            return _from_image(self.ring, den, {tuple(map(add, e1, e2)): c1 * c2
-                                                for e1, c1 in many.nums.items()})
-        out: dict[tuple[int, ...], int] = {}
+        p1, p2 = self.packed, other.packed
+        if not p1 or not p2:
+            return self.ring.zero()
+        # the leading keys add up to the product's leading key, which nothing cancels
+        _checked(self.ring, max(p1) + max(p2))
+        # a one-term factor shifts the other's keys: no two products meet
+        if len(p2) == 1 or len(p1) == 1:
+            many, one = (p1, p2) if len(p2) == 1 else (p2, p1)
+            ((k2, c2),) = one.items()
+            return _from_image(self.ring, den, {k1 + k2: c1 * c2 for k1, c1 in many.items()})
+        out: dict[int, int] = {}
         get = out.get
-        t2 = other.nums.items()
-        for e1, c1 in self.nums.items():
-            for e2, c2 in t2:
-                exp = tuple(map(add, e1, e2))
-                out[exp] = get(exp, 0) + c1 * c2
+        t2 = p2.items()
+        for k1, c1 in p1.items():
+            for k2, c2 in t2:
+                key = k1 + k2
+                out[key] = get(key, 0) + c1 * c2
         return _from_image(self.ring, den, {e: c for e, c in out.items() if c})
 
     def __rmul__(self, other):
@@ -258,7 +315,7 @@ class Polynomial:
         num, den = _ratio(value)
         if not num:
             return self.ring.zero()
-        return _from_image(self.ring, self.den * den, {e: c * num for e, c in self.nums.items()})
+        return _from_image(self.ring, self.den * den, {e: c * num for e, c in self.packed.items()})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -267,11 +324,11 @@ class Polynomial:
             isinstance(other, Polynomial)
             and self.ring == other.ring
             and self.den == other.den
-            and self.nums == other.nums
+            and self.packed == other.packed
         )
 
     def __hash__(self):
-        return hash((self.ring, self.den, tuple(sorted(self.nums.items()))))
+        return hash((self.ring, self.den, frozenset(self.packed.items())))
 
     # -- structure ----------------------------------------------------------
 
@@ -279,23 +336,26 @@ class Polynomial:
         """Degree in one variable; -1 for the zero polynomial."""
         if self.is_zero():
             return -1
-        i = self.ring.index(var)
-        return max(exp[i] for exp in self.nums)
+        s = self.ring._shifts[self.ring.index(var)]
+        return max((k >> s) & _MASK for k in self.packed)
 
     def total_degree(self) -> int:
         if self.is_zero():
             return -1
-        return max(sum(exp) for exp in self.nums)
+        return max(self.packed) >> _FIELD * len(self.ring.vars)
 
     def variables_used(self) -> tuple[str, ...]:
-        used = {i for exp in self.nums for i, e in enumerate(exp) if e}
-        return tuple(v for i, v in enumerate(self.ring.vars) if i in used)
+        # a field is nonzero in the union of the keys' bits when it is in some key
+        union = 0
+        for key in self.packed:
+            union |= key
+        return tuple(v for v, s in zip(self.ring.vars, self.ring._shifts) if (union >> s) & _MASK)
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self.nums, key=_grlex_key)
-        return exp, Fraction(self.nums[exp], self.den)
+        key = max(self.packed)
+        return self.ring.unpack(key), Fraction(self.packed[key], self.den)
 
     def leading_coefficient(self) -> Fraction:
         return self.leading()[1]
@@ -305,22 +365,28 @@ class Polynomial:
         exp = [0] * len(self.ring.vars)
         for var, power in powers.items():
             exp[self.ring.index(var)] = power
-        return Fraction(self.nums.get(tuple(exp), 0), self.den)
+        try:
+            key = self.ring.pack(exp)
+        except (ValueError, DegreeError):  # no key holds a monomial out of range
+            return Fraction(0)
+        return Fraction(self.packed.get(key, 0), self.den)
 
     def support(self, variables: Sequence[str] | None = None) -> set[tuple[int, ...]]:
         """Exponent vectors of the terms, cut down to ``variables`` when given."""
         if variables is None:
-            return set(self.nums)
-        slots = [self.ring.index(var) for var in variables]
-        return {tuple(exp[i] for i in slots) for exp in self.nums}
+            return set(map(self.ring.unpack, self.packed))
+        shifts = [self.ring._shifts[self.ring.index(var)] for var in variables]
+        return {tuple([(k >> s) & _MASK for s in shifts]) for k in self.packed}
 
     def coefficients_in(self, var: str) -> list["Polynomial"]:
         """Dense coefficient list [c_0, ..., c_d] viewing self in ``var``."""
         i = self.ring.index(var)
+        s, unit = self.ring._shifts[i], self.ring._units[i]
         dense: list[dict] = [{} for _ in range(self.degree(var) + 1)]
-        for exp, coeff in self.nums.items():
-            dense[exp[i]][exp[:i] + (0,) + exp[i + 1 :]] = coeff
-        return [_from_image(self.ring, self.den, nums) for nums in dense]
+        for key, coeff in self.packed.items():
+            e = (key >> s) & _MASK
+            dense[e][key - e * unit] = coeff
+        return [_from_image(self.ring, self.den, packed) for packed in dense]
 
     def rewrite_product(self, var_a: str, var_b: str, value: "Polynomial") -> "Polynomial":
         """Replace every occurrence of the product ``var_a*var_b`` by ``value``.
@@ -331,23 +397,22 @@ class Polynomial:
         """
         self._check(value)
         ia, ib = self.ring.index(var_a), self.ring.index(var_b)
-        if any(exp[ia] + exp[ib] > 1 for exp in value.nums):
+        sa, sb = self.ring._shifts[ia], self.ring._shifts[ib]
+        if any(((k >> sa) & _MASK) + ((k >> sb) & _MASK) > 1 for k in value.packed):
             raise DegreeError(
                 f"replacement for {var_a}*{var_b} has joint degree above one: "
                 f"{value.render()}"
             )
+        pair = self.ring._units[ia] + self.ring._units[ib]
         current = self
         while True:
             # terms holding the product, with one var_a*var_b taken out
             lowered, rest = {}, {}
-            for exp, coeff in current.nums.items():
-                if exp[ia] and exp[ib]:
-                    key = list(exp)
-                    key[ia] -= 1
-                    key[ib] -= 1
-                    lowered[tuple(key)] = coeff
+            for key, coeff in current.packed.items():
+                if (key >> sa) & _MASK and (key >> sb) & _MASK:
+                    lowered[key - pair] = coeff
                 else:
-                    rest[exp] = coeff
+                    rest[key] = coeff
             if not lowered:
                 return current
             ring, den = self.ring, current.den
@@ -357,9 +422,10 @@ class Polynomial:
 
     def diff(self, var: str) -> "Polynomial":
         i = self.ring.index(var)
+        s, unit = self.ring._shifts[i], self.ring._units[i]
         # lowering one exponent is injective, so no two terms meet
-        lowered = {exp[:i] + (exp[i] - 1,) + exp[i + 1 :]: coeff * exp[i]
-                   for exp, coeff in self.nums.items() if exp[i]}
+        lowered = {key - unit: coeff * e for key, coeff in self.packed.items()
+                   if (e := (key >> s) & _MASK)}
         return _from_image(self.ring, self.den, lowered)
 
     def substitute(self, var: str, value) -> "Polynomial":
@@ -371,34 +437,30 @@ class Polynomial:
                 out = out * value + coeff
             return out
         i = self.ring.index(var)
+        s, unit = self.ring._shifts[i], self.ring._units[i]
         p, q = _ratio(value)
         # c * (p/q)^k over den is c * p^k * q^(top - k) over den * q^top
-        top = max((exp[i] for exp in self.nums), default=0)
+        top = max(0, self.degree(var))
         p_pow, q_pow = [p**k for k in range(top + 1)], [q**k for k in range(top + 1)]
-        nums: dict[tuple[int, ...], int] = {}
-        for exp, coeff in self.nums.items():
-            key, k = exp[:i] + (0,) + exp[i + 1 :], exp[i]
-            nums[key] = nums.get(key, 0) + coeff * p_pow[k] * q_pow[top - k]
-        return _from_image(self.ring, self.den * q_pow[top], {e: c for e, c in nums.items() if c})
+        out: dict[int, int] = {}
+        for key, coeff in self.packed.items():
+            k = (key >> s) & _MASK
+            key -= k * unit
+            out[key] = out.get(key, 0) + coeff * p_pow[k] * q_pow[top - k]
+        return _from_image(self.ring, self.den * q_pow[top], {e: c for e, c in out.items() if c})
 
     def restrict_ring(self, ring: PolynomialRing) -> "Polynomial":
         """Re-express in a smaller/other ring containing every used variable."""
-        positions = [ring._index.get(var, -1) for var in self.ring.vars]
-        out = {}
-        width = len(ring.vars)
-        for exp, coeff in self.nums.items():
-            new = [0] * width
-            for i, e in enumerate(exp):
-                if not e:
-                    continue
-                j = positions[i]
-                if j < 0:
-                    raise UnknownVariableError(
-                        f"variable {self.ring.vars[i]!r} not present in target ring"
-                    )
-                new[j] = e
-            out[tuple(new)] = coeff
-        return _from_image(ring, self.den, out)
+        moves = []  # (field in self's ring, key in the target ring) per used variable
+        for var in self.variables_used():
+            if var not in ring._index:
+                raise UnknownVariableError(f"variable {var!r} not present in target ring")
+            moves.append((self.ring._shifts[self.ring._index[var]], ring._units[ring._index[var]]))
+        # the total degree stays, so every key stays below the target's bound
+        return _from_image(ring, self.den, {
+            sum([((key >> s) & _MASK) * unit for s, unit in moves]): c
+            for key, c in self.packed.items()
+        })
 
     # -- division / normalization --------------------------------------------
 
@@ -411,37 +473,42 @@ class Polynomial:
         Q' primitive makes c / d the content of A, an integer: B divides A
         over Q only if A / B is integral.  The division therefore runs on
         integers, and a leading coefficient that lc(B) does not divide is a
-        nonzero remainder.  The quotient is (A / B) * d2 / (d1 * g).
+        nonzero remainder.  The quotient is (A / B) * d2 / (d1 * g).  A
+        monomial quotient is a key difference, a monomial exactly when it
+        sets no guard bit (module docstring).
         """
         divisor = self._coerce(divisor)
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         d2 = divisor.den
-        add, sub = operator.add, operator.sub
-        if len(divisor.nums) == 1:
-            # a monomial g * x^d / d2 divides term by term: each exponent drops by d
-            ((div_exp, g),) = divisor.nums.items()
-            quotient = {tuple(map(sub, e, div_exp)): c * d2 for e, c in self.nums.items()}
-            if any(min(e, default=0) < 0 for e in quotient):
+        guard = self.ring._guard
+        if len(divisor.packed) == 1:
+            # a monomial g * x^d / d2 divides term by term: each key drops by d's
+            ((div_key, g),) = divisor.packed.items()
+            quotient = {k - div_key: c * d2 for k, c in self.packed.items()}
+            union = 0
+            for key in quotient:
+                union |= key
+            if union & guard:
                 raise ExactDivisionError("division left a nonzero remainder")
             return _from_image(self.ring, self.den * g, quotient)
-        remainder = dict(self.nums)
+        remainder = dict(self.packed)
         g, b = _signed_content(divisor)
-        div_exp = max(b, key=_grlex_key)
-        div_coeff = b[div_exp]
+        div_key = max(b)
+        div_coeff = b[div_key]
         quotient = {}
         while remainder:
-            exp = max(remainder, key=_grlex_key)
-            q_exp = tuple(map(sub, exp, div_exp))
-            q_coeff, rem = divmod(remainder[exp], div_coeff)
-            if rem or min(q_exp) < 0:
+            top = max(remainder)
+            q_key = top - div_key
+            q_coeff, rem = divmod(remainder[top], div_coeff)
+            if rem or q_key & guard:
                 raise ExactDivisionError("division left a nonzero remainder")
             # the remainder's leading term falls at every step, so no
             # quotient monomial repeats
-            quotient[q_exp] = q_coeff
-            for d_exp, d_coeff in b.items():
-                key = tuple(map(add, q_exp, d_exp))
+            quotient[q_key] = q_coeff
+            for d_key, d_coeff in b.items():
+                key = q_key + d_key
                 val = remainder.get(key, 0) - q_coeff * d_coeff
                 if val:
                     remainder[key] = val
@@ -454,7 +521,7 @@ class Polynomial:
 
     def content(self) -> Fraction:
         """Positive rational content (gcd of coefficients); 0 for zero."""
-        return Fraction(math.gcd(*self.nums.values()), self.den)
+        return Fraction(math.gcd(*self.packed.values()), self.den)
 
     def primitive(self) -> "Polynomial":
         """Canonical primitive part: content 1, positive leading coefficient."""
@@ -465,19 +532,22 @@ class Polynomial:
     # -- rendering ------------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        unpack, den = self.ring.unpack, self.den
+        return [(unpack(k), Fraction(self.packed[k], den))
+                for k in sorted(self.packed, reverse=True)]
 
     def render(self) -> str:
         if self.is_zero():
             return "0"
         pieces = []
-        for position, exp in enumerate(sorted(self.nums, key=_grlex_key, reverse=True)):
+        names, unpack = self.ring.vars, self.ring.unpack
+        for position, key in enumerate(sorted(self.packed, reverse=True)):
             mono = "*".join(
                 name if e == 1 else f"{name}^{e}"
-                for name, e in zip(self.ring.vars, exp)
+                for name, e in zip(names, unpack(key))
                 if e
             )
-            coeff = self.nums[exp]
+            coeff = self.packed[key]
             # |coeff| / den in lowest terms
             g = math.gcd(coeff, self.den)
             num, den = abs(coeff) // g, self.den // g
@@ -498,20 +568,26 @@ class Polynomial:
         return f"<Polynomial {self.render()}>"
 
 
-def _from_image(ring: PolynomialRing, den: int, nums: dict[tuple[int, ...], int]) -> Polynomial:
-    """``nums`` / ``den`` in canonical form, by one gcd and a sign.  It trusts its
-    input: exponent tuples of the ring's width to nonzero ints, ``den`` != 0."""
-    g = math.gcd(den, *nums.values())
+def _from_image(ring: PolynomialRing, den: int, packed: dict[int, int]) -> Polynomial:
+    """``packed`` / ``den`` in canonical form, by one gcd and a sign.  It trusts
+    its input: keys of ``ring`` below its bound to nonzero ints, ``den`` != 0."""
+    g = math.gcd(den, *packed.values())
     if den < 0:
         g = -g
     if g != 1:
         den //= g
-        nums = {e: c // g for e, c in nums.items()}
-    p = object.__new__(Polynomial)
-    object.__setattr__(p, "ring", ring)
-    object.__setattr__(p, "den", den)
-    object.__setattr__(p, "nums", nums)
+        packed = {e: c // g for e, c in packed.items()}
+    p = _new(Polynomial)
+    _set_ring(p, ring)
+    _set_den(p, den)
+    _set_packed(p, packed)
     return p
+
+
+# the slots' own setters: Polynomial.__setattr__ refuses every write
+_new = object.__new__
+_set_ring, _set_den, _set_packed = (Polynomial.ring.__set__, Polynomial.den.__set__,
+                                    Polynomial.packed.__set__)
 
 
 # -- parsing -------------------------------------------------------------------
@@ -561,15 +637,17 @@ def parse_polynomial(ring: PolynomialRing, text: str) -> Polynomial:
 
 def _from_dense(coeffs: list[Polynomial], main: str, ring: PolynomialRing) -> Polynomial:
     """Inverse of ``coefficients_in``: sum of coeffs[k] * main^k."""
-    i = ring.index(main)
+    unit = ring._units[ring.index(main)]
     den = math.lcm(*(c.den for c in coeffs))
-    nums: dict[tuple[int, ...], int] = {}
+    packed: dict[int, int] = {}
     for k, c in enumerate(coeffs):
         scale = den // c.den
-        for exp, coeff in c.nums.items():
-            key = exp[:i] + (exp[i] + k,) + exp[i + 1 :]
-            nums[key] = nums.get(key, 0) + coeff * scale
-    return _from_image(ring, den, {e: c for e, c in nums.items() if c})
+        for key, coeff in c.packed.items():
+            key += k * unit
+            packed[key] = packed.get(key, 0) + coeff * scale
+    if packed:
+        _checked(ring, max(packed))
+    return _from_image(ring, den, {e: c for e, c in packed.items() if c})
 
 
 def subresultant_prs(f: list, g: list) -> tuple[list, list, object, int]:
@@ -689,8 +767,8 @@ def residues(p: Polynomial) -> dict[tuple[int, ...], int] | None:
     read from the result is the degree of ``p``."""
     if not p.den % MODULUS:
         return None
-    inv = pow(p.den, -1, MODULUS)
-    return {e: c * inv % MODULUS for e, c in p.nums.items()}
+    inv, unpack = pow(p.den, -1, MODULUS), p.ring.unpack
+    return {unpack(k): c * inv % MODULUS for k, c in p.packed.items()}
 
 
 def _trim(coeffs: list[int]) -> list[int]:

@@ -986,10 +986,12 @@ class _Pipeline:
         f, g, top = self._at_one(c9, c12)
         numeric = self.cfg.a_mode == "numeric"
         at_one = resultant(f, g, "beta")
+        pack = _CURVE_RING.pack
         return _from_image(
             _CURVE_RING,
             at_one.den,
-            {(top - 2 * k, 0, 0 if numeric else k): c for (_, _, k), c in at_one.nums.items()},
+            {pack((top - 2 * k, 0, 0 if numeric else k)): c
+             for (_, _, k), c in at_one.nums.items()},
         )
 
     def _at_one(self, c9: Polynomial, c12: Polynomial) -> tuple[Polynomial, Polynomial, int]:
@@ -1007,11 +1009,12 @@ class _Pipeline:
     def _unfold(curve: Polynomial) -> Polynomial:
         """Give each term H^i beta^j the power a^k that makes its weight the
         curve's (H, beta)-degree; ``_weight`` rejects a term of the wrong parity."""
-        top = max(h + b for h, b, _ in curve.nums)
+        nums, pack = curve.nums, _CURVE_RING.pack
+        top = max(h + b for h, b, _ in nums)
         return _from_image(
             _CURVE_RING,
             curve.den,
-            {(h, b, (top - h - b) // 2): c for (h, b, _), c in curve.nums.items()},
+            {pack((h, b, (top - h - b) // 2)): c for (h, b, _), c in nums.items()},
         )
 
     def _weight(self, curve: Polynomial, what: str) -> int:

@@ -306,8 +306,8 @@ def resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
             for key, line in lines.items()
             for e, c in enumerate(_newton_to_monomial(line))
         }
-    width = len(f.ring.vars)
+    width, pack = len(f.ring.vars), f.ring.pack
     return _from_image(f.ring, scale, {
-        tuple(dict(zip(used, point)).get(i, 0) for i in range(width)): value
+        pack(tuple(dict(zip(used, point)).get(i, 0) for i in range(width))): value
         for point, value in values.items() if value
     })

@@ -1,9 +1,11 @@
 """Test oracles that the package does not ship."""
 
 import math
+import operator
 
 import numpy as np
 
+from deltahyp.errors import ExactDivisionError
 from deltahyp.poly import MODULUS
 
 
@@ -23,6 +25,79 @@ def det_cofactor(matrix):
         term = entry * sub
         total = total + (term if j % 2 == 0 else -term)
     return total
+
+
+# The polynomial kernel's loops as they ran on exponent tuples, before each
+# exponent vector became one packed int, over ``terms`` ({exp: Fraction}):
+# products add exponent tuples, exact quotients subtract them, and
+# ``grlex_key`` orders the terms.  ``deltahyp.poly`` must agree with them.
+
+
+def grlex_key(exp: tuple) -> tuple:
+    """Graded lexicographic order: total degree, then the exponents left to right."""
+    return (sum(exp), exp)
+
+
+def tuple_add(t1: dict, t2: dict) -> dict:
+    out = dict(t1)
+    for exp, coeff in t2.items():
+        coeff += out.get(exp, 0)
+        if coeff:
+            out[exp] = coeff
+        else:
+            out.pop(exp, None)
+    return out
+
+
+def tuple_mul(t1: dict, t2: dict) -> dict:
+    add = operator.add
+    # a one-term factor shifts the other's exponents: no two products meet
+    if len(t2) == 1 or len(t1) == 1:
+        many, one = (t1, t2) if len(t2) == 1 else (t2, t1)
+        ((e2, c2),) = one.items()
+        return {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in many.items()}
+    out = {}
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            exp = tuple(map(add, e1, e2))
+            out[exp] = out.get(exp, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def tuple_exact_div(t1: dict, t2: dict) -> dict:
+    """t1 / t2 by leading terms; ExactDivisionError on a nonzero remainder."""
+    add, sub = operator.add, operator.sub
+    div_exp = max(t2, key=grlex_key)
+    div_coeff = t2[div_exp]
+    remainder, quotient = dict(t1), {}
+    while remainder:
+        exp = max(remainder, key=grlex_key)
+        q_exp = tuple(map(sub, exp, div_exp))
+        if min(q_exp, default=0) < 0:
+            raise ExactDivisionError("division left a nonzero remainder")
+        q_coeff = remainder[exp] / div_coeff
+        quotient[q_exp] = q_coeff
+        for d_exp, d_coeff in t2.items():
+            key = tuple(map(add, q_exp, d_exp))
+            val = remainder.get(key, 0) - q_coeff * d_coeff
+            if val:
+                remainder[key] = val
+            else:
+                remainder.pop(key, None)
+    return quotient
+
+
+def tuple_render(names: tuple, terms: dict) -> str:
+    """The canonical text: terms in descending ``grlex_key`` order."""
+    pieces = []
+    for position, exp in enumerate(sorted(terms, key=grlex_key, reverse=True)):
+        mono = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exp) if e)
+        coeff = terms[exp]
+        mag = str(abs(coeff))
+        body = mag if not mono else mono if abs(coeff) == 1 else f"{mag}*{mono}"
+        sign = ("" if coeff > 0 else "-") if position == 0 else ("+ " if coeff > 0 else "- ")
+        pieces.append(sign + body)
+    return " ".join(pieces) or "0"
 
 
 # The spot check's residue evaluation at both variables (H0, a0), kept as the

@@ -21,12 +21,19 @@ from deltahyp import (
     poly_gcd,
 )
 from deltahyp import poly as poly_module
-from deltahyp.errors import DeltahypError, ExactDivisionError
-from deltahyp.poly import fraction_text
+from deltahyp.errors import DegreeError, DeltahypError, ExactDivisionError
+from deltahyp.poly import EXPONENT_BOUND, fraction_text
 from deltahyp.resultant import _cleared as resultant_rows
 
 from conftest import time_limit
-from oracles import dense_mod_p
+from oracles import (
+    dense_mod_p,
+    grlex_key,
+    tuple_add,
+    tuple_exact_div,
+    tuple_mul,
+    tuple_render,
+)
 
 RING = PolynomialRing(("x", "y", "z"))
 
@@ -531,6 +538,135 @@ def test_only_the_integer_image_reads_numerators_and_denominators():
              for read in fraction_reads(package / name)]
     assert set(reads) - FRACTION_READERS == set()
     assert ("poly.py", "_cleared") in reads
+
+
+# Packed exponent keys against the tuple-keyed loops (``tests/oracles.py``).
+# A shared variable can carry a power next to half the bound in both operands,
+# so their products land on either side of the bound.
+BOUND = EXPONENT_BOUND
+PACKED_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
+SMALL_COEFFS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def packed_operands(draw):
+    """A ring of 1-10 variables and two polynomials f, g in it: zero and
+    one-term operands among them, and g sometimes minus f, so that f + g
+    cancels some or all of f's terms."""
+    k = draw(st.integers(1, 10))
+    ring = PolynomialRing([f"x{i}" for i in range(k)])
+    slot, high = draw(st.integers(0, k - 1)), draw(st.booleans())
+
+    def operand():
+        size = draw(st.sampled_from([1, 2, 6]))
+        terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * k), SMALL_COEFFS,
+                                     max_size=size))
+        lift = draw(st.integers(BOUND // 2 - 3 * k - 2, BOUND // 2)) if high else 0
+        return Polynomial(ring, {e[:slot] + (e[slot] + lift,) + e[slot + 1 :]: c
+                                 for e, c in terms.items()})
+
+    f, g = operand(), operand()
+    if draw(st.booleans()):
+        g = g - f
+    return ring, f, g
+
+
+def assert_matches_terms(ring, result, terms):
+    """``result`` agrees with oracle ``terms`` in its terms, its text, ``==``
+    and ``hash``."""
+    expected = Polynomial(ring, terms)
+    assert_well_formed(result)
+    assert result.terms == terms
+    assert result.render() == tuple_render(ring.vars, terms)
+    assert result == expected and hash(result) == hash(expected)
+
+
+class TestPackedKeys:
+    @PACKED_SETTINGS
+    @given(packed_operands())
+    def test_kernel_matches_the_tuple_keyed_loops(self, operands):
+        ring, f, g = operands
+        assert_matches_terms(ring, f + g, tuple_add(f.terms, g.terms))
+        product = tuple_mul(f.terms, g.terms)
+        if max(map(sum, product), default=0) >= BOUND:
+            with pytest.raises(DegreeError):
+                f * g
+        else:
+            assert_matches_terms(ring, f * g, product)
+            if not g.is_zero():
+                assert_matches_terms(ring, (f * g).exact_div(g), tuple_exact_div(product, g.terms))
+        if g.is_zero():
+            return
+        try:
+            quotient = tuple_exact_div(f.terms, g.terms)
+        except ExactDivisionError:
+            with pytest.raises(ExactDivisionError):
+                f.exact_div(g)
+        else:
+            assert_matches_terms(ring, f.exact_div(g), quotient)
+
+    @PACKED_SETTINGS
+    @given(packed_operands())
+    def test_leading_term_and_render_order_follow_grlex(self, operands):
+        ring, f, g = operands
+        for p in (f, g, f + g):
+            order = sorted(p.terms, key=grlex_key, reverse=True)
+            assert [exp for exp, _ in p.sorted_terms()] == order
+            assert p.render() == tuple_render(ring.vars, p.terms)
+            if order:
+                assert p.leading() == (order[0], p.terms[order[0]])
+
+    def test_power_reaching_the_bound_raises(self):
+        x, y = RING.var("x"), RING.var("y")
+        assert (x ** (BOUND - 1)).degree("x") == BOUND - 1
+        with pytest.raises(DegreeError):
+            x**BOUND
+        with pytest.raises(DegreeError):
+            (x * y) ** (BOUND // 2)
+
+    def test_product_reaching_the_bound_raises(self):
+        x, y = RING.var("x"), RING.var("y")
+        high = x ** (BOUND - 2)
+        assert (high * y).total_degree() == BOUND - 1
+        # by a monomial, by a polynomial, and a polynomial by a monomial
+        for left, right in ((high, x * y), (high, y**2 + 1), (high + y, x**2)):
+            with pytest.raises(DegreeError):
+                left * right
+
+    def test_dense_rebuild_reaching_the_bound_raises(self):
+        # the gcd's rebuild from a coefficient list adds keys outside __mul__
+        x = RING.var("x")
+        assert poly_module._from_dense([x ** (BOUND - 2)] * 2, "y", RING).total_degree() == BOUND - 1
+        with pytest.raises(DegreeError):
+            poly_module._from_dense([RING.zero(), x ** (BOUND - 1)], "y", RING)
+
+    def test_construction_and_parse_at_the_bound_raise(self):
+        assert Polynomial(RING, {(BOUND - 1, 0, 0): 1}).total_degree() == BOUND - 1
+        assert RING.parse(f"x^{BOUND - 2}*y").total_degree() == BOUND - 1
+        for exp in ((BOUND, 0, 0), (BOUND - 1, 1, 0), (0, BOUND // 2, BOUND // 2)):
+            with pytest.raises(DegreeError):
+                Polynomial(RING, {exp: 1})
+        for text in (f"x^{BOUND}", f"x^{BOUND - 1}*x + 1", f"y^{BOUND // 2}*z^{BOUND // 2}"):
+            with pytest.raises(DegreeError):
+                RING.parse(text)
+
+    @pytest.mark.parametrize("slot", [0, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("exp", [(3, 0, 2, 5, 1), (0, 7, 0, 0, 0), (BOUND - 20, 0, 4, 1, 2)])
+    def test_monomial_one_too_high_in_a_field_does_not_divide(self, slot, exp):
+        # the quotient's field borrows and sets its guard bit; with every other
+        # field of the dividend in the divisor too, the total degree goes negative
+        ring = PolynomialRing(("a", "b", "c", "d", "e"))
+        dividend = Polynomial(ring, {exp: 3}) * (ring.var("b") + 1)
+        alone = [0] * 5
+        alone[slot] = exp[slot] + 1
+        with_rest = list(exp)
+        with_rest[slot] += 1
+        for divisor_exp in (alone, with_rest):
+            divisor = Polynomial(ring, {tuple(divisor_exp): 2})
+            for divisor in (divisor, divisor + 1):  # the monomial and the general path
+                with pytest.raises(ExactDivisionError):
+                    dividend.exact_div(divisor)
+        assert dividend.exact_div(Polynomial(ring, {exp: 3})) == ring.var("b") + 1
 
 
 class TestCalculus:
