@@ -35,6 +35,9 @@ the replayed branch (primary, matching the reference chain downstream) and
 the first-principles branch (the sign the quotient identities force).  The
 final verdict is reported for the primary branch, with the other branch
 summarized alongside.
+
+A numeric run (``a_mode="numeric"``) does the symbolic run's arithmetic, a
+still a ring variable; it compares and prints the forms at a = a_value.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .poly import (
     PolynomialRing,
     RationalFunction,
     _from_image,
+    fraction_text,
     gcd_degree_mod_p,
     poly_gcd,
     residue,
@@ -233,7 +237,7 @@ class EliminationReport:
         cfg = {
             "n": self.config.n,
             "a_mode": self.config.a_mode,
-            "a_value": None if self.config.a_value is None else str(self.config.a_value),
+            "a_value": None if (a := self.config.a_value) is None else fraction_text(a),
             "keep_intermediates": self.config.keep_intermediates,
         }
         return {
@@ -323,10 +327,7 @@ class _Pipeline:
         self.p = lam1 - lam2
         self.q = lam1 - lam3
         self.K = (self.n - 3) * lam_tail * (lam2 + lam3) + lam2 * lam3
-        if cfg.a_mode == "numeric":
-            self.a_poly = r.const(cfg.a_value)
-        else:
-            self.a_poly = r.var("a")
+        self.a_poly = r.var("a")
 
     # -- driver -----------------------------------------------------------------
 
@@ -365,6 +366,14 @@ class _Pipeline:
             branches=branches,
             notes=list(self.notes),
         )
+
+    def _at(self, form: Polynomial, primitive: bool = False) -> Polynomial:
+        """In a numeric run ``form`` at a = a_value, as its primitive part when
+        asked; in a symbolic run ``form`` itself (its curves are primitive)."""
+        if self.cfg.a_value is None:
+            return form
+        form = form.substitute("a", self.cfg.a_value)
+        return form.primitive() if primitive else form
 
     def _fail(self, message: str) -> NoReturn:
         """Halt the replay, attaching the partial report built so far."""
@@ -416,8 +425,9 @@ class _Pipeline:
         expected: Polynomial,
         note: str = "",
     ) -> str:
-        """Compare up to a nonzero rational factor via lead-positive primitives;
-        return the status recorded."""
+        """Compare both forms at a = a_value up to a nonzero rational factor via
+        lead-positive primitives; return the status recorded."""
+        derived, expected = self._at(derived), self._at(expected)
         dp = derived.primitive()
         ep = expected.primitive()
         status = EXACT
@@ -436,26 +446,20 @@ class _Pipeline:
         self._checkpoint(tag, status, derived, expected, note)
         return status
 
-    def _support_checkpoint(
-        self, tag: str, poly: Polynomial, template: frozenset, degree: Optional[int], why: str
-    ) -> None:
+    def _support_checkpoint(self, tag: str, poly: Polynomial, shown: Polynomial,
+                            template: frozenset, degree: Optional[int], why: str) -> None:
         """Halt unless ``poly`` is nonzero, its (H, beta, a)-support lies in
         ``template`` and, when ``degree`` is given, its joint (H, beta) degree
-        is ``degree``; otherwise record a structural checkpoint.
+        is ``degree``; otherwise record a structural checkpoint printing ``shown``.
 
-        With a numeric type constant the a-slot folds into the (H, beta) part,
-        and so does the template; because every template is weight-homogeneous
-        (a counting twice), the folded exponent lifts back uniquely, so
-        membership remains decidable.
-        """
+        A numeric run checks the symbolic form: a -> a_value keeps its a^0 part,
+        the top (H, beta) stratum, which is nonzero (tested for n = 4..40)."""
         support = self._form_part(poly).support(_CURVE_RING.vars)
-        if self.cfg.a_mode == "numeric":
-            template = {(i, j, 0) for i, j, _ in template}
         if not (support and support <= template and (
             degree is None or max(i + j for i, j, _ in support) == degree
         )):
             self._fail(f"checkpoint {tag}: structural requirement failed: {why}")
-        self._checkpoint(tag, STRUCTURAL, poly, None, why)
+        self._checkpoint(tag, STRUCTURAL, shown, None, why)
 
     def _unit(self, poly: Polynomial, divisor: Polynomial, what: str) -> Fraction:
         """The nonzero rational u with poly = u * divisor; halt if there is none."""
@@ -753,7 +757,7 @@ class _Pipeline:
             "first master equation replay "
             + ("DIVERGES from" if status_54 == FLAGGED else "matches")
             + " the reference table; first-principles sign branch stored alongside: "
-            + fp_first.render()
+            + self._at(fp_first).render()
         )
         return MasterEquations(
             unreduced_first=replayed.unreduced_first,
@@ -880,10 +884,11 @@ class _Pipeline:
             ("3.62-N", rep.N, ref.TEMPLATE_CUBIC_FORM, "product-side cubic form"),
         ):
             self._support_checkpoint(
-                tag, poly_, template, None, f"{what}: support within the reference template"
+                tag, poly_, self._at(poly_), template, None,
+                f"{what}: support within the reference template",
             )
         self._support_checkpoint(
-            "3.63", rep.curve9, ref.template_curve9(), 9,
+            "3.63", rep.curve9, self._at(rep.curve9, primitive=True), ref.template_curve9(), 9,
             "tangency curve has exact joint degree 9 with support inside the "
             "odd-strata template",
         )
@@ -905,7 +910,7 @@ class _Pipeline:
 
         rep = self.branches[BRANCH_REPLAYED]
         self._support_checkpoint(
-            "3.65", rep.curve12, ref.template_curve12(), 12,
+            "3.65", rep.curve12, self._at(rep.curve12, primitive=True), ref.template_curve12(), 12,
             "prolonged curve has exact joint degree 12 with support inside the "
             "even-strata template",
         )
@@ -932,6 +937,9 @@ class _Pipeline:
         if len(parity) > 1:
             self._fail("final resultant mixes H-parities")
         self._consistency_spotcheck(rep.curve9, rep.curve12, res)
+        if self.cfg.a_value is not None:
+            self._specialize()
+            res = rep.final_resultant
 
         nonzero = not res.is_zero()
         fp = self.branches[BRANCH_FIRST_PRINCIPLES]
@@ -950,6 +958,27 @@ class _Pipeline:
             VERDICT_CONSTANT if nonzero else VERDICT_INCONCLUSIVE,
             {BRANCH_FIRST_PRINCIPLES: summary},
         )
+
+    def _specialize(self) -> None:
+        """Put each branch's curves at a = a_value as primitive parts, the
+        replayed resultant with them, and the first-principles status on them.
+
+        Res commutes with a -> a_value while the beta-degrees stay (checked),
+        and Res(f / s, g / t) = s^(-deg g) * t^(-deg f) * Res(f, g) for the
+        ratios s, t that ``primitive()`` divides out."""
+        for label, state in self.branches.items():
+            symbolic = (state.curve9, state.curve12)
+            spec = [self._at(c) for c in symbolic]
+            if [c.degree("beta") for c in spec] != [c.degree("beta") for c in symbolic]:
+                self._fail("a curve loses its beta-degree at the given a_value")
+            c9, c12 = state.curve9, state.curve12 = [c.primitive() for c in spec]
+            if label == BRANCH_REPLAYED:
+                s9, s12 = (c.leading_coefficient() / shown.leading_coefficient()
+                           for c, shown in zip(spec, (c9, c12)))
+                state.final_resultant = self._at(state.final_resultant).scale(
+                    s9 ** -c12.degree("beta") * s12 ** -c9.degree("beta"))
+            else:
+                state.resultant_nonzero = not resultant_is_zero(c9, c12, "beta")
 
     def _final_resultant(self, c9: Polynomial, c12: Polynomial) -> Polynomial:
         """Resultant of the two curves in beta, taken at H = 1 with H restored
@@ -970,52 +999,27 @@ class _Pipeline:
         matrix of the curves at H = 1, and its determinant is sum_k r_k a^k:
         each a^k is restored to H^(D-2k) a^k.
 
-        A numeric type constant is folded into the coefficients: the term
-        H^i beta^j stands for H^i beta^j a^k with i + j + 2k the curve's
-        weight.  ``_unfold`` gives each term that power of a back and keeps
-        its numeric coefficient.  The numeric curves are the unfolded ones at
-        a = 1, with the same beta-degrees, so the numeric resultant is the
-        unfolded one at a = 1; its terms r_k H^(D-2k) a^k have distinct
-        powers of H, so setting a = 1 merges none of them.
-
         Only the replayed branch's resultant is built.  The first-principles
         branch is read only as nonzero or not, so ``eliminate`` runs the same
         preparation and checks on its curves and asks ``resultant_is_zero``,
         which stops at the first nonzero grid value.
         """
         f, g, top = self._at_one(c9, c12)
-        numeric = self.cfg.a_mode == "numeric"
         at_one = resultant(f, g, "beta")
         pack = _CURVE_RING.pack
         return _from_image(
             _CURVE_RING,
             at_one.den,
-            {pack((top - 2 * k, 0, 0 if numeric else k)): c
-             for (_, _, k), c in at_one.nums.items()},
+            {pack((top - 2 * k, 0, k)): c for (_, _, k), c in at_one.nums.items()},
         )
 
     def _at_one(self, c9: Polynomial, c12: Polynomial) -> tuple[Polynomial, Polynomial, int]:
-        """The curves at H = 1 and the resultant's weight, after checking that
-        both curves are weighted-homogeneous (a numeric type constant unfolded)."""
-        if self.cfg.a_mode == "numeric":
-            c9, c12 = self._unfold(c9), self._unfold(c12)
+        """The curves at H = 1 and the resultant's weight; both must be weighted-homogeneous."""
         d9 = self._weight(c9, "tangency curve")
         d12 = self._weight(c12, "prolonged curve")
         m, n = c9.degree("beta"), c12.degree("beta")
         top = n * d9 + m * d12 - m * n
         return c9.substitute("H", 1), c12.substitute("H", 1), top
-
-    @staticmethod
-    def _unfold(curve: Polynomial) -> Polynomial:
-        """Give each term H^i beta^j the power a^k that makes its weight the
-        curve's (H, beta)-degree; ``_weight`` rejects a term of the wrong parity."""
-        nums, pack = curve.nums, _CURVE_RING.pack
-        top = max(h + b for h, b, _ in nums)
-        return _from_image(
-            _CURVE_RING,
-            curve.den,
-            {pack((h, b, (top - h - b) // 2)): c for (h, b, _), c in nums.items()},
-        )
 
     def _weight(self, curve: Polynomial, what: str) -> int:
         """The weight of a curve homogeneous for H:1, beta:1, a:2."""
@@ -1034,10 +1038,8 @@ class _Pipeline:
         there.  Each point is first decided modulo the prime P = 2^61 - 1
         (``poly.MODULUS``), at one variable.  The curves and the resultant are
         weighted-homogeneous for H:1, beta:1, a:2, of weights D (checked by
-        ``_t_image``, never assumed).  Put beta = H0*b and t = a0/H0^2
-        (t = 1/H0^2 with a numeric type constant, on the ``_unfold``ed
-        curves): each term c*H0^i beta^j a0^k of weight i + j + 2k = D becomes
-        H0^D * c*b^j t^k, so
+        ``_t_image``, never assumed).  Put beta = H0*b and t = a0/H0^2: each
+        term c*H0^i beta^j a0^k of weight i + j + 2k = D becomes H0^D * c*b^j t^k, so
             c(H0, H0*b, a0) = H0^D * c(1, b, t),   res(H0, a0) = H0^D * R1(t).
         H0 is a unit mod P, and beta -> H0*b is an automorphism of GF(P)[beta].
         So each beta-leading coefficient, and r0 = res(H0, a0), is nonzero mod
@@ -1069,21 +1071,25 @@ class _Pipeline:
         not weighted-homogeneous or P divides a denominator, which sends every
         point here) takes the exact path at (H0, a0): ``Fraction``
         substitution, the degree tests and ``poly_gcd`` over Q, compared with
-        the resultant's exact zero status.  The random draws do not depend on
-        the path, so both paths visit the same points.
+        the resultant's exact zero status, as does a t with no residue.  The
+        random draws do not depend on the path, so both paths visit the same
+        points.  A numeric run takes a0 = a_value: up to nonzero rational
+        factors, its reported curves and resultant.
         """
-        numeric = self.cfg.a_mode == "numeric"
-        rng = random.Random(1_000_003 * self.n + int(numeric))
-        images = [_t_image(p, numeric) for p in (c9, c12, res)]
+        a_value = self.cfg.a_value
+        rng = random.Random(1_000_003 * self.n + (a_value is not None))
+        images = [_t_image(p) for p in (c9, c12, res)]
         modular = all(image is not None for image in images)
         checked = 0
         attempts = 0
         while checked < 20 and attempts < 200:
             attempts += 1
             H0 = Fraction(rng.randint(1, 60), rng.randint(1, 13))
-            a0 = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
-            # the denominator of t divides 9 * 60^2, so its residue exists
-            if modular and _settled_mod_p(images, residue((1 if numeric else a0) / H0**2)):
+            # drawn in a numeric run too, so the seed fixes the same H0 sequence
+            drawn = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+            a0 = drawn if a_value is None else a_value
+            t = residue(a0 / H0**2)
+            if modular and t is not None and _settled_mod_p(images, t):
                 checked += 1
                 continue
             s9 = c9.substitute("H", H0).substitute("a", a0)
@@ -1099,7 +1105,7 @@ class _Pipeline:
             if share_root != res_zero:
                 self._fail(
                     "specialization cross-check failed at "
-                    f"H={H0}, a={a0}: shared-root status {share_root} vs "
+                    f"H={H0}, a={fraction_text(a0)}: shared-root status {share_root} vs "
                     f"resultant-zero status {res_zero}"
                 )
             checked += 1
@@ -1119,23 +1125,15 @@ def _text(form) -> Optional[str]:
     return form if form is None or isinstance(form, str) else form.render()
 
 
-def _t_image(p: Polynomial, numeric: bool) -> Optional[list[list[int]]]:
+def _t_image(p: Polynomial) -> Optional[list[list[int]]]:
     """Residue coefficient lists of p(1, beta, t), one per power of beta up to
     p's beta-degree, each dense in t (constant terms first).
 
     None when p is zero, when MODULUS divides its denominator, or when p is
-    not weighted-homogeneous for H:1, beta:1, a:2.  With a numeric type
-    constant p must be free of a; it is unfolded as ``_Pipeline._unfold``
-    does, and a term whose (H, beta)-degree has the wrong parity leaves it
-    inhomogeneous.  The weight fixes the power of H of each (beta, t) slot,
-    so no two terms share one."""
+    not weighted-homogeneous for H:1, beta:1, a:2.  The weight fixes the
+    power of H of each (beta, t) slot, so no two terms share one."""
     image = residues(p)
-    if not image or (numeric and any(k for _, _, k in image)):
-        return None
-    if numeric:
-        top = max(h + b for h, b, _ in image)
-        image = {(h, b, (top - h - b) // 2): c for (h, b, _), c in image.items()}
-    if len({h + b + 2 * k for h, b, k in image}) != 1:
+    if not image or len({h + b + 2 * k for h, b, k in image}) != 1:
         return None
     dense = [[0] * (1 + max(k for _, _, k in image))
              for _ in range(1 + max(b for _, b, _ in image))]

@@ -231,6 +231,15 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_a_value_past_the_digit_limit_exits_zero(self, capsys):
+        # the numeric replay is the symbolic one specialized at a = 10^4400,
+        # and the config echoes the value past the int-to-str digit limit
+        with time_limit(30):
+            code, out, _ = run(capsys, "replay", "--n", "4", "--a-mode", "numeric",
+                               "--a-value", "1e4400")
+        assert code == 0
+        assert json.loads(out)["config"]["a_value"] == "1" + "0" * 4400
+
     def test_near_limit_operator_prints_no_warning(self):
         env = dict(os.environ, PYTHONPATH=str(pathlib.Path(deltahyp.__file__).parents[1]))
         done = subprocess.run(

@@ -8,9 +8,10 @@ variables), and the product rewrite must stay in its coset of the ideal.  Every 
 is also checked to store no zero coefficient, the invariant the constructor
 keeps for all operations.  A chain of rational-function arithmetic must
 reduce to sympy's cancelled quotient, with every gcd left to that read.  The
-replay's final resultants for n = 4..8 must equal sympy's resultant of the
-same two curves exactly, and each other sign branch's verdict must follow
-from sympy's resultant of that branch's curves.
+replay's final resultants for n = 4..8, and for numeric type constants at
+n = 4, 5, 8, must equal sympy's resultant of the same two curves exactly, and
+each other sign branch's verdict must follow from sympy's resultant of that
+branch's curves.
 """
 
 import functools
@@ -258,12 +259,9 @@ def test_residues_reject_a_denominator_divisible_by_p():
 
 
 @functools.lru_cache(maxsize=None)
-def replayed_curves(n, a_value):
-    """(c9, c12, res) of the replay at n; a numeric type constant unless None."""
-    if a_value is None:
-        report = replay_all(ReplayConfig(n=n))
-    else:
-        report = replay_all(ReplayConfig(n=n, a_mode="numeric", a_value=a_value))
+def replayed_curves(n):
+    """(c9, c12, res) of the symbolic replay at n."""
+    report = replay_all(ReplayConfig(n=n))
     return report.curve9, report.curve12, report.final_resultant
 
 
@@ -283,19 +281,21 @@ def settled_two_variable(dense9, dense12, r0):
     st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9)),
 )
 def test_spotcheck_at_t_is_the_two_variable_check(n, a_value, H0, a0):
-    # c(H0, H0*b, a0) = H0^D c(1, b, t) with t = a0/H0^2 (1/H0^2 with a numeric
-    # type constant): each beta^j coefficient at t is the one at (H0, a0)
-    # times H0^(j - D), and the decision mod P is the same
-    numeric = a_value is not None
-    curves = replayed_curves(n, a_value)
+    # c(H0, H0*b, a0) = H0^D c(1, b, t) with t = a0/H0^2: each beta^j
+    # coefficient at t is the one at (H0, a0) times H0^(j - D), and the
+    # decision mod P is the same; a numeric run samples the symbolic curves
+    # at a0 = a_value
+    if a_value is not None:
+        a0 = a_value
+    curves = replayed_curves(n)
     ring = replay_module._CURVE_RING
-    t = poly_module.residue((1 if numeric else a0) / H0**2)
+    t = poly_module.residue(a0 / H0**2)
     h0 = poly_module.residue(H0)
     point = {"H": h0, "a": poly_module.residue(a0)}
     images, at_t, at_point = [], [], []
     for p in curves:
         weight = max(h + b + 2 * k for h, b, k in p.terms)
-        image = replay_module._t_image(p, numeric)
+        image = replay_module._t_image(p)
         dense = dense_mod_p(poly_module.residues(p), ring, "beta", point)
         images.append(image)
         at_t.append([replay_module._horner(coeffs, t) for coeffs in image])
@@ -311,17 +311,13 @@ def test_t_image_needs_a_weighted_homogeneous_form_and_no_p_denominator():
     image = replay_module._t_image
     # weight 3: H^3 -> 1 at beta^0, a*beta -> t at beta^1, H*beta^2 -> 1 at beta^2;
     # one list in t per power of beta, all as long as the largest power of t
-    assert image(H**3 + 2 * a * beta - H * beta**2, False) == [[1, 0], [0, 2], [P - 1, 0]]
-    # numeric: the a-free form unfolds to weight 3, 5*beta to 5*beta*a -> 5*t
-    assert image(H**2 * beta + 5 * beta, True) == [[0, 0], [1, 5]]
-    for form, numeric in (
-        (H**2 + a * H, False),  # weights 2 and 3
-        (H * beta + beta, True),  # (H, beta)-degrees 2 and 1: mixed parity
-        (H * a, True),  # numeric forms are free of a
-        (beta * Fraction(1, P) + H, False),  # P divides the denominator
-        (ring.zero(), False),
+    assert image(H**3 + 2 * a * beta - H * beta**2) == [[1, 0], [0, 2], [P - 1, 0]]
+    for form in (
+        H**2 + a * H,  # weights 2 and 3
+        beta * Fraction(1, P) + H,  # P divides the denominator
+        ring.zero(),
     ):
-        assert image(form, numeric) is None
+        assert image(form) is None
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -337,11 +333,22 @@ def sympy_resultant(curve9: Polynomial, curve12: Polynomial):
     return poly_of(sympy.resultant(*curves, sympy.Symbol("beta")), curve9.ring)
 
 
-@pytest.mark.parametrize("n", range(4, 9))
-def test_final_resultant_is_sympys(n):
-    report = replay_all(ReplayConfig(n=n))
+@pytest.mark.parametrize(
+    "n, a_value",
+    [pytest.param(n, None, id=str(n)) for n in range(4, 9)]
+    + [pytest.param(n, a, id=f"{n}-a={a}") for n in (4, 5, 8)
+       for a in (Fraction(0), Fraction(3, 2), Fraction(-2, 3), Fraction(10**40 + 7, 3))],
+)
+def test_final_resultant_is_sympys(n, a_value):
+    # a numeric run reports the specialized curves and their resultant, which
+    # it scales from the symbolic one at a = a_value
+    cfg = (ReplayConfig(n=n) if a_value is None
+           else ReplayConfig(n=n, a_mode="numeric", a_value=a_value))
+    report = replay_all(cfg)
     final = report.final_resultant
     assert not final.is_zero()
+    if a_value is not None:
+        assert all(p.degree("a") <= 0 for p in (report.curve9, report.curve12, final))
     assert final.terms == terms_of(sympy_resultant(report.curve9, report.curve12))
     for branch in report.branches.values():
         oracle = sympy_resultant(branch.curve9, branch.curve12)

@@ -240,7 +240,10 @@ class TestMasterEquations:
         cfg = (ReplayConfig(n=n) if a_value is None
                else ReplayConfig(n=n, a_mode="numeric", a_value=a_value))
         alg = build_algebra(cfg)
+        # the stages keep a as a variable; a numeric run compares at a = a_value
         third = derive_master_equations(cfg).third
+        if a_value is not None:
+            third = third.substitute("a", a_value)
         assert fixes_scalar_curvature(third, alg, self.a_poly(alg, a_value)), n
 
     def test_the_check_rejects_a_shifted_trace(self):
@@ -395,6 +398,28 @@ class TestElimination:
         assert res.degree("a") == 0  # specialized away
         assert res.degree("H") % 2 == 1
 
+    @pytest.mark.parametrize("n", range(4, 41))
+    def test_a_free_strata_survive_every_specialization(self, n):
+        # the a^0 part of a weighted-homogeneous form is its top (H, beta)
+        # stratum, which a -> a0 leaves alone: so a numeric run keeps both
+        # curves' beta-degrees (its degree guard cannot fire) and the joint
+        # degree and nonzero support its support checks read
+        pipeline = replay_module._Pipeline(ReplayConfig(n=n))
+        pipeline.run("prolonged")
+        for state in pipeline.branches.values():
+            for form in (state.L, state.M, state.N, state.curve9, state.curve12):
+                assert not form.substitute("a", 0).is_zero()
+            for curve in (state.curve9, state.curve12):
+                assert not curve.coefficients_in("beta")[-1].substitute("a", 0).is_zero()
+
+    def test_a_value_past_the_digit_limit_renders(self):
+        # str() of an int past 4,300 digits raises ValueError
+        cfg = ReplayConfig(n=4, a_mode="numeric", a_value=Fraction(10**5000, 3))
+        report = replay_module.EliminationReport(
+            "1", cfg, [], [], None, None, None, VERDICT_INCONCLUSIVE, {}, []
+        )
+        assert report.to_json_dict()["config"]["a_value"] == "1" + "0" * 5000 + "/3"
+
     def test_eliminate_beta_entrypoint(self):
         report = eliminate_beta(ReplayConfig(n=4))
         assert report.verdict == VERDICT_CONSTANT
@@ -440,6 +465,24 @@ class TestGoldenReports:
              "a9c9ec59e26122be0b17802eec4ff9fcc44efde7497aac8f1b5420ab4dea29fa"),
             ("--n 9 --a-mode numeric --a-value=-2/3",
              "88a3192959bedb779691f06928a1145094f6eb93ab65bfa27c71930507b3bf92"),
+            # recorded from the numeric mode that carried a0 through every
+            # stage, before it became the specialized symbolic replay
+            ("--n 5 --a-mode numeric --a-value=-2/3 --keep-intermediates",
+             "5cd99cd7da82acdc0fb98549d58090883d563fa8edc040a27990451878430c46"),
+            ("--n 4 --a-mode numeric --a-value 7 --keep-intermediates",
+             "ce61e7276d87a289ab82c65cd6560996af723fb8a2cd9dcd528f8c8b65eb641a"),
+            ("--n 9 --keep-intermediates",
+             "b7c9f08ca0c7e7622e6da74f841dfe2ef62147524ad80375d9f6d5a547f226c1"),
+            ("--n 4 --a-mode numeric --a-value 0",
+             "b8cb2fbfc8ef8fb1bf1aac1e3850b3f167802c732f72f6d04910eb4b4cc69aff"),
+            ("--n 12 --a-mode numeric --a-value 10000000000000000000000000000000000000007/3",
+             "48093f38a96b551067f6081c458f799b6f1d40185e8671df5d7af3b44bd5b82c"),
+            ("--n 5 --a-mode numeric --a-value 1e100",
+             "3f79999edc602ef5c96632e004019adfc16d39b377bf07efbdf722e8a237456b"),
+            ("--n 16 --a-mode numeric --a-value=-40/9",
+             "8c7dcce5d3ab53c82928f4a5537d7ec4b37a6f17fb9f1b1af6a6e7cb1848418f"),
+            ("--n 7 --a-mode numeric --a-value 3/2 --format text",
+             "f2ec988425e8a4c9a9769519c9ea284e046d9d9f3fd5ae8282076bafaa147dcd"),
         ],
     )
     def test_cli_stdout_digest(self, capsys, argv, digest):
@@ -602,8 +645,8 @@ class TestFailureModes:
         assert f"partial report: {len(partial['checkpoints'])} checkpoint(s) passed" in err
 
     def test_numeric_curve_of_the_wrong_parity_halts(self, monkeypatch):
-        # with a numeric type constant only the parity of a term's (H, beta)
-        # degree shows its weight: H*beta cannot be a folded weight-9 term
+        # a numeric run checks the weights of the symbolic curves, so a term
+        # of weight 2 in the weight-9 curve halts it as it halts a symbolic run
         self.add_to_curve9(monkeypatch, lambda p: p.H * p.ring.var("beta"))
         with pytest.raises(CheckpointFailure, match="tangency curve is not weighted-homogeneous"):
             replay_all(ReplayConfig(n=5, a_mode="numeric", a_value=Fraction(3, 2)))
@@ -833,6 +876,23 @@ class TestSpotcheck:
         assert self.spotcheck(c9, c12, tampered) == (
             f"specialization cross-check failed at H=20, a=38/9: {status}"
         )
+
+    def test_a_value_with_p_in_its_denominator_takes_the_exact_path(self, monkeypatch):
+        # t = a_value / H0^2 has no residue mod P at any point
+        calls = self.count_exact_gcds(monkeypatch)
+        report = replay_all(ReplayConfig(n=4, a_mode="numeric", a_value=Fraction(1, MODULUS)))
+        assert report.verdict == VERDICT_CONSTANT
+        assert len(calls) == 20
+
+    def test_specialization_halts_when_a_beta_degree_drops(self):
+        # the beta-leading coefficient a of c9 vanishes at a = 0
+        pipeline = replay_module._Pipeline(ReplayConfig(n=4, a_mode="numeric", a_value=0))
+        c9, c12 = _A * _BETA + _H**3, _BETA - _H
+        for state in pipeline.branches.values():
+            state.curve9, state.curve12 = c9, c12
+            state.final_resultant = resultant(c9, c12, "beta")
+        with pytest.raises(CheckpointFailure, match="a curve loses its beta-degree"):
+            pipeline._specialize()
 
     def test_zero_resultant_fails(self, report4):
         with pytest.raises(CheckpointFailure, match="resultant-zero status True"):
